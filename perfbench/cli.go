@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -12,15 +11,15 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/serve"
+	"repro/internal/expt"
 )
 
-// The CLI workloads run the repo's own binaries as child processes, so
-// cpu_s and peak_rss_mb are the child's own rusage and the timed sweep
-// is exactly what a user of the CLI waits for.
+// experiments-full runs the repo's cmd/experiments binary as a child
+// process, so cpu_s and peak_rss_mb are the child's own rusage and the
+// timed run is exactly what a user of the CLI waits for.
 
 const (
-	// minOps is the fewest sweeps an untraced run measures, so its
+	// minOps is the fewest operations an untraced run measures, so its
 	// median never rests on one or two samples.
 	minOps = 3
 	// setupSamples is how many times set-up is measured per run.
@@ -29,61 +28,24 @@ const (
 	childTimeout = 120 * time.Second
 )
 
-// sweepSpec is one gathersim -ndjson sweep workload.
-type sweepSpec struct {
-	name     string
-	workload string
-	algo     string
-	k        int
-	seeds    int
-}
-
-var (
-	sweepIdle = sweepSpec{name: "sweep-idle", workload: "grid:6x6", algo: "faster", k: 8, seeds: 16}
-	sweepWalk = sweepSpec{name: "sweep-walk", workload: "cycle:12", algo: "uxs", k: 4, seeds: 32}
-)
-
-// sweepExec is the execution config of every sweep: two workers,
-// lockstep batches of eight (the gathersim and sweepd default width).
-var sweepExec = serve.ExecConfig{Parallel: 2, Batch: 8}
-
-func (s sweepSpec) args(seed uint64) []string {
-	return []string{"-workload", s.workload, "-algo", s.algo, "-k", strconv.Itoa(s.k),
-		"-seeds", strconv.Itoa(s.seeds), "-seed", strconv.FormatUint(seed, 10),
-		"-parallel", strconv.Itoa(sweepExec.Parallel), "-batch", strconv.Itoa(sweepExec.Batch), "-ndjson"}
-}
-
-// warmupArgs is the set-up run of a sweep workload: the same instance
-// and algorithm, two seeds, capped at 50000 rounds (about 0.1 s on a
-// 2-core Xeon).
-func (s sweepSpec) warmupArgs() []string {
-	return []string{"-workload", s.workload, "-algo", s.algo, "-k", strconv.Itoa(s.k),
-		"-seeds", "2", "-seed", "1", "-max-rounds", "50000",
-		"-parallel", strconv.Itoa(sweepExec.Parallel), "-batch", strconv.Itoa(sweepExec.Batch), "-ndjson"}
-}
+// experimentsParallel is the worker count of every experiments run. On a
+// 2-vCPU host, whatever else the host ran took time from one of two
+// workers: complete runs on two workers moved about 20% from run to run,
+// and in 14 back-to-back pairs of the same gathersim sweep on one and on
+// two workers, the interquartile range was 7% of the median on one worker
+// and 12% on two.
+const experimentsParallel = 1
 
 // experimentsWarmup is the set-up run of experiments-full: one reduced
 // experiment on one worker (about 0.02 s on a 2-core Xeon; E10, which
 // runs many short parallel jobs, varied twofold from run to run).
-var experimentsWarmup = []string{"-quick", "-run", "E16", "-parallel", "1"}
-
-// request is the sweep request gathersim -ndjson builds from args: the
-// flags the spec sets, every other field at its default.
-func (s sweepSpec) request(seed uint64) []byte {
-	b, err := json.Marshal(map[string]any{"workload": s.workload, "algo": s.algo, "k": s.k,
-		"seeds": s.seeds, "seed": seed})
-	if err != nil {
-		panic(err) // plain data always marshals
-	}
-	return b
-}
+var experimentsWarmup = []string{"-quick", "-run", "E16", "-parallel", strconv.Itoa(experimentsParallel)}
 
 // childRun is one finished child process.
 type childRun struct {
-	wall   time.Duration
-	cpu    time.Duration // user + sys
-	rss    int64         // peak resident set, bytes
-	stdout []byte
+	wall time.Duration
+	cpu  time.Duration // user + sys
+	rss  int64         // peak resident set, bytes
 }
 
 // runChild runs bin to completion and reports its wall time and rusage.
@@ -91,11 +53,11 @@ func runChild(bin string, args ...string) (childRun, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), childTimeout)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, bin, args...)
-	var out, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &stderr
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	t0 := time.Now()
 	err := cmd.Run()
-	c := childRun{wall: time.Since(t0), stdout: out.Bytes()}
+	c := childRun{wall: time.Since(t0)}
 	if err != nil {
 		return c, fmt.Errorf("%s: %w: %s", filepath.Base(bin), err, lastLine(stderr.Bytes()))
 	}
@@ -113,193 +75,163 @@ func lastLine(b []byte) string {
 
 // spawnSetup is a CLI workload's set-up: process start plus a short
 // warm-up run of the same binary, which also pages the binary in before
-// the first timed sweep. It is the median wall time of setupSamples runs.
-func spawnSetup(bin string, args ...string) (float64, error) {
-	walls := make([]float64, setupSamples)
-	for i := range walls {
+// the first timed run. It appends the wall times of setupSamples runs.
+func spawnSetup(walls []float64, bin string, args ...string) ([]float64, error) {
+	for i := 0; i < setupSamples; i++ {
 		c, err := runChild(bin, args...)
 		if err != nil {
-			return 0, err
+			return walls, err
 		}
-		walls[i] = c.wall.Seconds()
+		walls = append(walls, c.wall.Seconds())
 	}
-	return median(walls), nil
+	return walls, nil
 }
 
-// samples collects the per-sweep measurements of one untraced run.
-type samples struct {
-	wall, cpu, rss, rwps []float64
+// tableRuns is what one untraced run of experiments-full measured: each
+// experiment's wall and CPU time in every round that checked, each
+// round's peak RSS, and the set-up samples taken before each round.
+type tableRuns struct {
+	wall, cpu map[string][]float64 // seconds, by experiment ID
+	rss       []float64            // MB, the largest child of each round
+	setup     []float64            // seconds
 }
 
-// add records one sweep that simulated work round×worlds.
-func (s *samples) add(c childRun, work float64) {
-	s.wall = append(s.wall, c.wall.Seconds())
-	s.cpu = append(s.cpu, c.cpu.Seconds())
-	s.rss = append(s.rss, float64(c.rss)/1e6)
-	s.rwps = append(s.rwps, work/c.wall.Seconds())
+// tableTime is the time of one complete table run: the sum over
+// experiments of each one's median wall and CPU time across rounds. A
+// slow spell on the host that hits one round of an experiment moves
+// neither sum; the median of whole table runs of 12–25 s moved up to 30%
+// between runs on a shared 2-vCPU host.
+func (r tableRuns) tableTime() (wall, cpu float64) {
+	for _, id := range sortedKeys(r.wall) {
+		wall += median(r.wall[id])
+		cpu += median(r.cpu[id])
+	}
+	return wall, cpu
 }
 
-// cliMetrics are the end-to-end metrics of a CLI workload: medians over
-// the run's sweeps. A CLI run holds too few sweeps for a p95 with ten
-// samples beyond it, so req_p95_ms falls back to the median (see tail).
-func cliMetrics(setup float64, s samples, t *tally) map[string]metric {
-	sweep := median(s.wall)
+// experimentsMetrics are the end-to-end metrics of experiments-full.
+// sim_rw_per_s counts table runs per second, since cmd/experiments does
+// not expose its simulated round count. A run holds too few table runs
+// for a p95 with ten samples beyond it, so req_p95_ms is the median again.
+func experimentsMetrics(r tableRuns, t *tally) map[string]metric {
+	sweep, cpu := r.tableTime()
 	return map[string]metric{
-		"setup_s":      {setup, "s"},
+		"setup_s":      {median(r.setup), "s"},
 		"sweep_s":      {sweep, "s"},
-		"sim_rw_per_s": {median(s.rwps), "1/s"},
-		"cpu_s":        {median(s.cpu), "s"},
-		"peak_rss_mb":  {median(s.rss), "MB"},
+		"sim_rw_per_s": {1 / sweep, "1/s"},
+		"cpu_s":        {cpu, "s"},
+		"peak_rss_mb":  {median(r.rss), "MB"},
 		"req_p50_ms":   {sweep * 1e3, "ms"},
-		"req_p95_ms":   {tail(s.wall, 95) * 1e3, "ms"},
+		"req_p95_ms":   {sweep * 1e3, "ms"},
 		"ok_ratio":     {t.okRatio(), "ratio"},
 	}
 }
 
 // loopOps runs op back to back (a closed loop) for the window: another
 // operation starts only while the window is expected to hold it (elapsed
-// time plus the median operation so far), and at least minOps run. With
-// fixed > 0 it runs op exactly fixed times instead. op returns its wall
-// time in seconds.
-func loopOps(window time.Duration, fixed int, op func() float64) {
+// time plus the median operation so far), and at least minOps run, in a
+// whole number of cycles of cycle operations. With fixed > 0 it runs op
+// exactly fixed times instead. op returns its wall time in seconds.
+func loopOps(window time.Duration, fixed, cycle int, op func() float64) {
 	start := time.Now()
 	var walls []float64
 	for {
 		if fixed > 0 && len(walls) == fixed {
-			return
+			break
 		}
-		if fixed == 0 && len(walls) >= minOps && time.Since(start).Seconds()+median(walls) > window.Seconds() {
-			return
+		if fixed == 0 && len(walls) >= minOps && len(walls)%cycle == 0 &&
+			time.Since(start).Seconds()+median(walls) > window.Seconds() {
+			break
 		}
 		walls = append(walls, op())
 	}
+	fmt.Fprintf(os.Stderr, "perfbench: %d operations, wall s %.3f\n", len(walls), walls)
 }
 
-// rotating gives sweep i of an untraced run program seed progSeed(seed+i),
-// so a run's median spans several inputs rather than resting on the lane
-// lengths of one.
+// rotating gives round i of an untraced run program seed
+// progSeed(seed+i), so each cycle of rounds measures every program seed
+// once.
 func rotating(e env) func(i int) uint64 {
 	return func(i int) uint64 { return progSeed(e.seed + uint64(i)) }
 }
 
-// fixedSeed gives every sweep the run's own program seed.
+// fixedSeed gives every round the run's first program seed.
 func fixedSeed(e env) func(int) uint64 {
 	return func(int) uint64 { return progSeed(e.seed) }
 }
 
-// runSweeps is the untraced loop of a sweep workload: for the window, or
-// exactly fixed sweeps when fixed > 0; sweep i runs program seed seedOf(i).
-func runSweeps(e env, spec sweepSpec, fixed int, seedOf func(int) uint64) (samples, *tally, error) {
-	refs, err := loadReferences()
-	if err != nil {
-		return samples{}, nil, err
-	}
-	bin := filepath.Join(e.bin, "gathersim")
-	var s samples
-	t := &tally{}
-	i := 0
-	op := func() float64 {
-		ps := seedOf(i)
-		i++
-		ref, err := refs.sweep(spec.name, ps)
-		if err != nil {
-			t.record(err)
-			return 0
-		}
-		c, err := runChild(bin, spec.args(ps)...)
-		if err == nil {
-			err = checkSweep(c.stdout, ref, spec.seeds)
-		}
-		t.record(err)
-		if err == nil {
-			s.add(c, float64(ref.Rounds))
-		}
-		return c.wall.Seconds()
-	}
-	loopOps(e.seconds, fixed, op)
-	if len(s.wall) == 0 {
-		return s, t, fmt.Errorf("no sweep succeeded: %v", t.errs)
-	}
-	return s, t, nil
-}
-
-func sweepUntraced(spec sweepSpec) func(env) (map[string]metric, *tally, error) {
-	return func(e env) (map[string]metric, *tally, error) {
-		setup, err := spawnSetup(filepath.Join(e.bin, "gathersim"), spec.warmupArgs()...)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, t, err := runSweeps(e, spec, 0, rotating(e))
-		if err != nil {
-			return nil, t, err
-		}
-		return cliMetrics(setup, s, t), t, nil
-	}
-}
-
-// experimentsOnce runs one complete cmd/experiments and returns its
-// tables.
-func experimentsOnce(e env, seed uint64) (map[string][]byte, childRun, error) {
+// experimentOnce runs one experiment of cmd/experiments in a process of
+// its own and returns its table.
+func experimentOnce(e env, id string, seed uint64) ([]byte, childRun, error) {
 	dir, err := os.MkdirTemp(e.tmp, "experiments-")
 	if err != nil {
 		return nil, childRun{}, err
 	}
 	defer os.RemoveAll(dir)
-	c, err := runChild(filepath.Join(e.bin, "experiments"), "-seed", strconv.FormatUint(seed, 10), "-outdir", dir)
+	c, err := runChild(filepath.Join(e.bin, "experiments"), "-run", id, "-seed", strconv.FormatUint(seed, 10),
+		"-parallel", strconv.Itoa(experimentsParallel), "-outdir", dir)
 	if err != nil {
 		return nil, c, err
 	}
-	tables, err := readTables(dir)
-	return tables, c, err
+	table, err := os.ReadFile(filepath.Join(dir, id+".txt"))
+	return table, c, err
 }
 
-// runExperiments is the untraced loop of experiments-full: for the
-// window, or exactly fixed runs when fixed > 0; run i uses program seed
-// seedOf(i). Each run counts as one unit of simulated work, since
-// cmd/experiments does not expose its round count.
-func runExperiments(e env, fixed int, seedOf func(int) uint64) (samples, *tally, error) {
+// runExperiments is the untraced loop of experiments-full. A round runs
+// every experiment once, in ID order and each in its own process, at
+// program seed seedOf(round); rounds repeat for the window in whole
+// cycles of the program seeds, or exactly fixed times when fixed > 0. Every table is checked against its
+// reference and its verdicts are tallied. Set-up is measured before each
+// round, so its median does not rest on one moment of a shared host.
+func runExperiments(e env, fixed int, seedOf func(int) uint64) (tableRuns, *tally, error) {
+	r := tableRuns{wall: map[string][]float64{}, cpu: map[string][]float64{}}
 	refs, err := loadReferences()
 	if err != nil {
-		return samples{}, nil, err
+		return r, nil, err
 	}
-	var s samples
 	t := &tally{}
-	i := 0
-	op := func() float64 {
-		ps := seedOf(i)
-		i++
+	round := 0
+	loopOps(e.seconds, fixed, len(programSeeds), func() float64 {
+		ps := seedOf(round)
+		round++
 		ref, err := refs.table(ps)
 		if err != nil {
 			t.record(err)
 			return 0
 		}
-		tables, c, err := experimentsOnce(e, ps)
-		if err == nil {
-			err = checkTables(tables, ref)
+		if r.setup, err = spawnSetup(r.setup, filepath.Join(e.bin, "experiments"), experimentsWarmup...); err != nil {
+			t.record(err)
+			return 0
 		}
-		t.record(err)
-		if err == nil {
-			s.add(c, 1)
+		t0 := time.Now()
+		rss := 0.0
+		for _, x := range expt.All() {
+			table, c, err := experimentOnce(e, x.ID, ps)
+			if err == nil {
+				err = checkTable(x.ID+".txt", table, ref)
+			}
+			t.verdicts(map[string][]byte{x.ID + ".txt": table}, err)
+			if err == nil {
+				r.wall[x.ID] = append(r.wall[x.ID], c.wall.Seconds())
+				r.cpu[x.ID] = append(r.cpu[x.ID], c.cpu.Seconds())
+				rss = max(rss, float64(c.rss)/1e6)
+			}
 		}
-		return c.wall.Seconds()
+		r.rss = append(r.rss, rss)
+		return time.Since(t0).Seconds()
+	})
+	for _, x := range expt.All() {
+		if len(r.wall[x.ID]) == 0 {
+			return r, t, fmt.Errorf("no run of %s succeeded: %v", x.ID, t.errs)
+		}
 	}
-	loopOps(e.seconds, fixed, op)
-	if len(s.wall) == 0 {
-		return s, t, fmt.Errorf("no run succeeded: %v", t.errs)
-	}
-	return s, t, nil
+	return r, t, nil
 }
 
-// experimentsUntraced reports sim_rw_per_s as complete table runs per
-// second: cmd/experiments does not expose its simulated round count.
 func experimentsUntraced(e env) (map[string]metric, *tally, error) {
-	setup, err := spawnSetup(filepath.Join(e.bin, "experiments"), experimentsWarmup...)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, t, err := runExperiments(e, 0, rotating(e))
+	r, t, err := runExperiments(e, 0, rotating(e))
 	if err != nil {
 		return nil, t, err
 	}
-	return cliMetrics(setup, s, t), t, nil
+	return experimentsMetrics(r, t), t, nil
 }

@@ -103,60 +103,17 @@ func phasePass(fn func() error) error {
 	return fn()
 }
 
-// sweepTraced is the traced run of a sweep workload: a few untraced CLI
-// sweeps for the overhead baseline, one sweep through the traced replay,
-// and one more with the phase probes on. Both bodies must equal the
-// untraced sweeps' reference.
-func sweepTraced(spec sweepSpec) func(env) (map[string]metric, *tally, error) {
-	return func(e env) (map[string]metric, *tally, error) {
-		s, t, err := runSweeps(e, spec, minOps, fixedSeed(e))
-		if err != nil {
-			return nil, t, err
-		}
-		refs, err := loadReferences()
-		if err != nil {
-			return nil, t, err
-		}
-		ref, err := refs.sweep(spec.name, progSeed(e.seed))
-		if err != nil {
-			return nil, t, err
-		}
-		raw := spec.request(progSeed(e.seed))
-		tr := newTracer()
-		st := &sweepStats{}
-		t0 := time.Now()
-		body, err := tracedExecute(tr, spec.name, raw, sweepExec, st)
-		traced := time.Since(t0).Seconds()
-		if err == nil {
-			err = checkSweep(body, ref, spec.seeds)
-		}
-		t.record(err)
-		t.record(phasePass(func() error {
-			body, err := tracedExecute(newTracer(), spec.name, raw, sweepExec, &sweepStats{})
-			if err != nil {
-				return err
-			}
-			return checkSweep(body, ref, spec.seeds)
-		}))
-		vals := map[string]float64{}
-		sweepLayers(vals, tr, st)
-		if err := finishTrace(e, spec.name, tr, traced, median(s.wall)); err != nil {
-			return nil, t, err
-		}
-		return layerMetrics(vals), t, nil
-	}
-}
-
 // experimentsTraced is the traced run of experiments-full: one untraced
-// CLI run for the overhead baseline, then every experiment in process
-// with a span each, then once more with the phase probes on. Both passes'
-// tables must equal the CLI's reference tables. Layers below expt need
+// round of CLI runs for the overhead baseline, then every experiment in
+// process with a span each, then once more with the phase probes on. Both
+// passes' tables must equal the CLI's reference tables. Layers below expt need
 // spans inside the program and read 0 here, except the engine phases.
 func experimentsTraced(e env) (map[string]metric, *tally, error) {
-	s, t, err := runExperiments(e, 1, fixedSeed(e))
+	r, t, err := runExperiments(e, 1, fixedSeed(e))
 	if err != nil {
 		return nil, t, err
 	}
+	untraced, _ := r.tableTime()
 	refs, err := loadReferences()
 	if err != nil {
 		return nil, t, err
@@ -165,18 +122,23 @@ func experimentsTraced(e env) (map[string]metric, *tally, error) {
 	if err != nil {
 		return nil, t, err
 	}
-	opts := expt.Options{Seed: progSeed(e.seed)}
+	opts := expt.Options{Seed: progSeed(e.seed), Parallelism: experimentsParallel}
 	tr := newTracer()
 	t0 := time.Now()
-	t.record(runTables(tr, opts, ref))
+	t.verdicts(runTables(tr, opts, ref))
 	traced := time.Since(t0).Seconds()
-	t.record(phasePass(func() error { return runTables(newTracer(), opts, ref) }))
+	var tables map[string][]byte
+	err = phasePass(func() (err error) {
+		tables, err = runTables(newTracer(), opts, ref)
+		return err
+	})
+	t.verdicts(tables, err)
 	vals := map[string]float64{}
 	for name, l := range tr.layers() {
 		vals[name+"_s"] = l.total.Seconds()
 	}
 	phaseLayers(vals)
-	if err := finishTrace(e, "experiments-full", tr, traced, median(s.wall)); err != nil {
+	if err := finishTrace(e, "experiments-full", tr, traced, untraced); err != nil {
 		return nil, t, err
 	}
 	return layerMetrics(vals), t, nil
@@ -184,7 +146,7 @@ func experimentsTraced(e env) (map[string]metric, *tally, error) {
 
 // runTables runs every experiment in process, a span each, and checks
 // the tables against the reference.
-func runTables(tr *tracer, opts expt.Options, ref tableRef) error {
+func runTables(tr *tracer, opts expt.Options, ref tableRef) (map[string][]byte, error) {
 	tables := map[string][]byte{}
 	for _, x := range expt.All() {
 		var buf bytes.Buffer
@@ -193,9 +155,9 @@ func runTables(tr *tracer, opts expt.Options, ref tableRef) error {
 		var err error
 		tr.do("expt."+x.ID, x.ID, noParent, func() { err = x.Run(&buf, opts) })
 		if err != nil {
-			return fmt.Errorf("%s: %w", x.ID, err)
+			return nil, fmt.Errorf("%s: %w", x.ID, err)
 		}
 		tables[x.ID+".txt"] = buf.Bytes()
 	}
-	return checkTables(tables, ref)
+	return tables, checkTables(tables, ref)
 }

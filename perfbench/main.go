@@ -3,13 +3,11 @@
 // against a reference, and prints its metrics as one JSON object on the
 // last line of standard output.
 //
-//	bash perfbench/run.sh --workload sweep-idle --seed 3 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload sweepd-mmpp --seed 3 --seconds 20 --trace 0
 //
 // Workloads (see BENCHMARK.json for the reason each exists):
 //
 //	experiments-full  the complete cmd/experiments run (scalar engine)
-//	sweep-idle        gathersim -ndjson grid:6x6 k=8 faster, 16 seeds
-//	sweep-walk        gathersim -ndjson cycle:12 k=4 uxs, 32 seeds (by hand)
 //	sweepd-mmpp       in-process sweep server under bursty MMPP arrivals
 //
 // With --trace 0 the run is untraced and reports the end-to-end metrics;
@@ -17,7 +15,7 @@
 // run (trace.go), after checking that the traced run reproduces the
 // untraced run's outputs and printing the tracing overhead.
 //
-// run.sh builds the CLIs and this command, then passes the binary
+// run.sh builds cmd/experiments and this command, then passes the binary
 // directory and a scratch directory in PERFBENCH_BIN and PERFBENCH_TMP.
 package main
 
@@ -48,7 +46,7 @@ type result struct {
 type env struct {
 	seed    uint64
 	seconds time.Duration
-	bin     string // directory holding the experiments and gathersim binaries
+	bin     string // directory holding the experiments binary
 	tmp     string // scratch directory inside the checkout
 }
 
@@ -62,8 +60,6 @@ type workload struct {
 
 var workloads = map[string]workload{
 	"experiments-full": {untraced: experimentsUntraced, traced: experimentsTraced},
-	"sweep-idle":       {untraced: sweepUntraced(sweepIdle), traced: sweepTraced(sweepIdle)},
-	"sweep-walk":       {untraced: sweepUntraced(sweepWalk), traced: sweepTraced(sweepWalk)},
 	"sweepd-mmpp":      {untraced: sweepdUntraced, traced: sweepdTraced},
 }
 
@@ -73,11 +69,11 @@ func main() {
 
 func run() int {
 	var (
-		name    = flag.String("workload", "", "workload to run: experiments-full, sweep-idle, sweep-walk or sweepd-mmpp")
+		name    = flag.String("workload", "", "workload to run: experiments-full or sweepd-mmpp")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		seconds = flag.Int("seconds", 20, "measurement window in seconds")
 		trace   = flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
-		record  = flag.Bool("record", false, "re-record references.json for the CLI workloads and exit")
+		record  = flag.Bool("record", false, "re-record references.json for experiments-full and exit")
 	)
 	flag.Parse()
 
@@ -124,7 +120,7 @@ func run() int {
 	for _, msg := range t.errs {
 		fmt.Fprintf(os.Stderr, "perfbench: %s: failed operation: %s\n", *name, msg)
 	}
-	res := result{Correct: t.failed == 0, Attempted: t.attempted, Failed: t.failed, Metrics: metrics}
+	res := result{Correct: !t.wrong, Attempted: t.attempted, Failed: t.failed, Metrics: metrics}
 	line, err := json.Marshal(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
@@ -146,25 +142,37 @@ func workloadNames() []string {
 	return names
 }
 
-// tally counts operations: attempted, failed (an error or an output that
-// differs from its reference) and ok. An operation the server sheds with
-// 429 is neither ok nor failed; it lowers ok_ratio only.
+// tally counts operations: attempted, failed and ok. An operation fails
+// when it errs, when its output differs from its reference, or when it is
+// a [FAIL] verdict of an experiments table. The first two also make the
+// run incorrect; a [FAIL] verdict is the program's own reproducible
+// output, so it counts as failed but leaves the run correct. An operation
+// the server sheds with 429 is neither ok nor failed; it lowers ok_ratio
+// only.
 type tally struct {
 	attempted, failed, ok int
+	wrong                 bool // an operation erred or differed from its reference
 	errs                  []string
 }
 
 // record counts one operation: failed when err is non-nil, ok otherwise.
 func (t *tally) record(err error) {
-	t.attempted++
 	if err != nil {
-		t.failed++
-		if len(t.errs) < 20 {
-			t.errs = append(t.errs, err.Error())
-		}
+		t.wrong = true
+		t.fail(err.Error())
 		return
 	}
+	t.attempted++
 	t.ok++
+}
+
+// fail counts one failed operation and keeps its message.
+func (t *tally) fail(msg string) {
+	t.attempted++
+	t.failed++
+	if len(t.errs) < 20 {
+		t.errs = append(t.errs, msg)
+	}
 }
 
 // shed counts one operation the server refused under load.

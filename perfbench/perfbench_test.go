@@ -45,33 +45,12 @@ func TestPercentileRefusesThinTail(t *testing.T) {
 	if m := median(xs(4)); m != 2.5 {
 		t.Fatalf("median of 1..4 = %v, want 2.5", m)
 	}
-	if v := tail(xs(199), 95); v != median(xs(199)) {
-		t.Fatalf("tail(p95) of 199 samples = %v, want the median %v", v, median(xs(199)))
-	}
 }
 
 const body = `{"spec":{},"graph":"g","diameter":2}
 {"seed":1,"rounds":10,"gather":true,"detect":true,"moves":3}
 {"aggregate":true,"seeds":1,"detected":1,"crashed":0,"rounds":10,"moves":3}
 `
-
-func TestCorruptedSweepReferenceFails(t *testing.T) {
-	ref, err := sweepSummary([]byte(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tl tally
-	tl.record(checkSweep([]byte(body), ref, 1))
-	for _, bad := range []sweepRef{
-		{SHA256: sha([]byte("x")), Rounds: ref.Rounds, Moves: ref.Moves, Detected: ref.Detected},
-		{SHA256: ref.SHA256, Rounds: ref.Rounds + 1, Moves: ref.Moves, Detected: ref.Detected},
-	} {
-		tl.record(checkSweep([]byte(body), bad, 1))
-	}
-	if tl.attempted != 3 || tl.ok != 1 || tl.failed != 2 {
-		t.Fatalf("tally = %+v, want 1 ok and 2 failed", tl)
-	}
-}
 
 func TestCorruptedTableReferenceFails(t *testing.T) {
 	tables := map[string][]byte{"E1.txt": []byte("  [PASS] a\n"), "E2.txt": []byte("  [PASS] b\n")}
@@ -87,6 +66,24 @@ func TestCorruptedTableReferenceFails(t *testing.T) {
 	flipped := map[string][]byte{"E1.txt": tables["E1.txt"], "E2.txt": []byte("  [FAIL] b\n")}
 	if err := checkTables(flipped, ref); err == nil {
 		t.Fatal("a verdict flipped to [FAIL] passed")
+	}
+	var tl tally
+	tl.verdicts(tables, checkTables(tables, bad))
+	if !tl.wrong || tl.attempted != 1 || tl.failed != 1 || tl.ok != 0 {
+		t.Fatalf("tally = %+v, want one failed operation in an incorrect run", tl)
+	}
+}
+
+func TestRecordedFailVerdictIsAFailedOperation(t *testing.T) {
+	tables := map[string][]byte{"E1.txt": []byte("  [PASS] a\n  [FAIL] b\n"), "E2.txt": []byte("  [PASS] c\n")}
+	ref := tableSummary(tables) // the [FAIL] is the recorded output
+	var tl tally
+	tl.verdicts(tables, checkTables(tables, ref))
+	if tl.wrong || tl.attempted != 3 || tl.ok != 2 || tl.failed != 1 {
+		t.Fatalf("tally = %+v, want 2 ok and 1 failed in a correct run", tl)
+	}
+	if len(tl.errs) != 1 || tl.errs[0] != "E1.txt: [FAIL] b" {
+		t.Fatalf("failed operations = %q, want the [FAIL] line", tl.errs)
 	}
 }
 

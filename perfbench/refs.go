@@ -11,44 +11,38 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+
+	"repro/internal/expt"
 )
 
-// refSeeds is how many program seeds have recorded references: workload
-// seed s runs the CLI workloads with program seed 1 + s mod refSeeds, so
-// every workload seed has a reference to check against.
-const refSeeds = 10
+// programSeeds are the cmd/experiments seeds that every run of
+// experiments-full measures, one per round in turn; the workload seed
+// picks which comes first. Every run measures the same mix because an
+// experiment's cost depends on its seed: E4 took 3.7 s at seed 1 and
+// 8.6 s at seed 2, E21 5.8 s and 2.6 s. Seed 4 holds both [FAIL]
+// verdicts known at seeds 1 to 10 (E4 and E15), so they show in every run.
+var programSeeds = []uint64{4, 5, 6}
 
-func progSeed(seed uint64) uint64 { return 1 + seed%refSeeds }
+// progSeed is the program seed of round i of the mix.
+func progSeed(i uint64) uint64 { return programSeeds[i%uint64(len(programSeeds))] }
 
-// references holds the recorded outputs of the CLI workloads, keyed by
+// references holds the recorded outputs of experiments-full, keyed by
 // program seed. Re-record with `run.sh --record` only when an output
 // change is intended; the repo's determinism contract says it never is.
 type references struct {
-	Experiments map[string]tableRef  `json:"experiments-full"`
-	Sweeps      map[string]sweepRefs `json:"sweeps"`
+	Experiments map[string]tableRef `json:"experiments-full"`
 }
 
 // tableRef is one cmd/experiments run: the SHA-256 of each -outdir table
-// and how many [PASS] and [FAIL] verdicts they hold. A [FAIL] the
-// reference records is the program's reproducible output at that seed (a
-// finding to fix in the program, not in the benchmark); any verdict or
-// byte that differs from the reference fails the run.
+// and how many [PASS] and [FAIL] verdicts they hold. Any verdict or byte
+// that differs from the reference makes the run incorrect. A [FAIL] the
+// reference records is the program's reproducible output at that seed: it
+// still counts as a failed operation (see verdicts), so a fix in the
+// program shows as fewer failures once the references are re-recorded.
 type tableRef struct {
 	Tables map[string]string `json:"tables"`
 	Passes int               `json:"passes"`
 	Fails  int               `json:"fails"`
-}
-
-// sweepRefs maps a sweep workload name to its reference.
-type sweepRefs map[string]sweepRef
-
-// sweepRef is one gathersim -ndjson sweep: the SHA-256 of the body and
-// the aggregate row's counts.
-type sweepRef struct {
-	SHA256   string `json:"sha256"`
-	Rounds   int64  `json:"rounds"`
-	Moves    int64  `json:"moves"`
-	Detected int    `json:"detected"`
 }
 
 //go:embed references.json
@@ -66,14 +60,6 @@ func (r *references) table(seed uint64) (tableRef, error) {
 	ref, ok := r.Experiments[strconv.FormatUint(seed, 10)]
 	if !ok {
 		return tableRef{}, fmt.Errorf("no experiments reference for program seed %d", seed)
-	}
-	return ref, nil
-}
-
-func (r *references) sweep(name string, seed uint64) (sweepRef, error) {
-	ref, ok := r.Sweeps[strconv.FormatUint(seed, 10)][name]
-	if !ok {
-		return sweepRef{}, fmt.Errorf("no %s reference for program seed %d", name, seed)
 	}
 	return ref, nil
 }
@@ -104,31 +90,6 @@ func parseAggregate(body []byte) (aggregate, error) {
 	return a, nil
 }
 
-// sweepSummary reads a body's reference fields.
-func sweepSummary(body []byte) (sweepRef, error) {
-	a, err := parseAggregate(body)
-	if err != nil {
-		return sweepRef{}, err
-	}
-	return sweepRef{SHA256: sha(body), Rounds: a.Rounds, Moves: a.Moves, Detected: a.Detected}, nil
-}
-
-// checkSweep compares a sweep body with its reference; every seed must
-// also have detected gathering.
-func checkSweep(body []byte, ref sweepRef, seeds int) error {
-	got, err := sweepSummary(body)
-	if err != nil {
-		return err
-	}
-	if got != ref {
-		return fmt.Errorf("sweep output %+v differs from reference %+v", got, ref)
-	}
-	if got.Detected != seeds {
-		return fmt.Errorf("%d of %d seeds detected gathering", got.Detected, seeds)
-	}
-	return nil
-}
-
 // tableSummary hashes a set of tables and counts their verdicts.
 func tableSummary(tables map[string][]byte) tableRef {
 	ref := tableRef{Tables: make(map[string]string, len(tables))}
@@ -140,39 +101,56 @@ func tableSummary(tables map[string][]byte) tableRef {
 	return ref
 }
 
-// checkTables compares one experiments run's tables with the reference.
+// verdicts tallies one experiments run checked by checkTables. When its
+// tables equal the reference (err is nil), each [PASS] is one ok operation
+// and each [FAIL] one failed operation, kept with its table and line.
+// Otherwise the run is one failed operation.
+func (t *tally) verdicts(tables map[string][]byte, err error) {
+	if err != nil {
+		t.record(err)
+		return
+	}
+	for _, name := range sortedKeys(tables) {
+		for _, line := range bytes.Split(tables[name], []byte("\n")) {
+			for i := bytes.Count(line, []byte("[PASS]")); i > 0; i-- {
+				t.attempted++
+				t.ok++
+			}
+			for i := bytes.Count(line, []byte("[FAIL]")); i > 0; i-- {
+				t.fail(fmt.Sprintf("%s: %s", name, bytes.TrimSpace(line)))
+			}
+		}
+	}
+}
+
+// checkTable compares one table with its reference.
+func checkTable(name string, table []byte, ref tableRef) error {
+	want, ok := ref.Tables[name]
+	if !ok {
+		return fmt.Errorf("table %s has no reference", name)
+	}
+	if sha(table) != want {
+		return fmt.Errorf("table %s differs from its reference", name)
+	}
+	return nil
+}
+
+// checkTables compares a complete set of tables with the reference.
 func checkTables(tables map[string][]byte, ref tableRef) error {
 	got := tableSummary(tables)
 	if got.Passes != ref.Passes || got.Fails != ref.Fails {
 		return fmt.Errorf("%d [PASS] and %d [FAIL] verdicts, reference has %d and %d",
 			got.Passes, got.Fails, ref.Passes, ref.Fails)
 	}
-	if len(got.Tables) != len(ref.Tables) {
-		return fmt.Errorf("%d tables, reference has %d", len(got.Tables), len(ref.Tables))
+	if len(tables) != len(ref.Tables) {
+		return fmt.Errorf("%d tables, reference has %d", len(tables), len(ref.Tables))
 	}
-	for _, name := range sortedKeys(ref.Tables) {
-		if got.Tables[name] != ref.Tables[name] {
-			return fmt.Errorf("table %s differs from its reference", name)
+	for _, name := range sortedKeys(tables) {
+		if err := checkTable(name, tables[name], ref); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// readTables loads every table an experiments -outdir run wrote.
-func readTables(dir string) (map[string][]byte, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.txt"))
-	if err != nil {
-		return nil, err
-	}
-	tables := make(map[string][]byte, len(names))
-	for _, p := range names {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		tables[filepath.Base(p)] = b
-	}
-	return tables, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -184,30 +162,21 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// recordReferences runs every CLI workload once per program seed and
+// recordReferences runs every experiment once per program seed and
 // writes perfbench/references.json (relative to the checkout root).
 func recordReferences(e env) error {
-	r := references{Experiments: map[string]tableRef{}, Sweeps: map[string]sweepRefs{}}
-	for s := uint64(1); s <= refSeeds; s++ {
-		key := strconv.FormatUint(s, 10)
-		tables, _, err := experimentsOnce(e, s)
-		if err != nil {
-			return err
+	r := references{Experiments: map[string]tableRef{}}
+	for _, s := range programSeeds {
+		tables := map[string][]byte{}
+		for _, x := range expt.All() {
+			table, _, err := experimentOnce(e, x.ID, s)
+			if err != nil {
+				return err
+			}
+			tables[x.ID+".txt"] = table
 		}
 		ref := tableSummary(tables)
-		r.Experiments[key] = ref
-		r.Sweeps[key] = sweepRefs{}
-		for _, spec := range []sweepSpec{sweepIdle, sweepWalk} {
-			c, err := runChild(filepath.Join(e.bin, "gathersim"), spec.args(s)...)
-			if err != nil {
-				return err
-			}
-			ref, err := sweepSummary(c.stdout)
-			if err != nil {
-				return err
-			}
-			r.Sweeps[key][spec.name] = ref
-		}
+		r.Experiments[strconv.FormatUint(s, 10)] = ref
 		fmt.Fprintf(os.Stderr, "recorded program seed %d: %d [PASS], %d [FAIL]\n", s, ref.Passes, ref.Fails)
 	}
 	b, err := json.MarshalIndent(r, "", "  ")

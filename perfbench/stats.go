@@ -35,16 +35,6 @@ func percentile(xs []float64, p float64) (float64, error) {
 	return sorted(xs)[rank-1], nil
 }
 
-// tail returns the p-th percentile of xs when at least minTail samples
-// lie beyond it, and the median otherwise: a run of a few sweeps
-// supports no tail percentile, and a median needs no tail.
-func tail(xs []float64, p float64) float64 {
-	if v, err := percentile(xs, p); err == nil {
-		return v
-	}
-	return median(xs)
-}
-
 func sorted(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)

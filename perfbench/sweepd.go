@@ -106,7 +106,7 @@ type schedule struct {
 }
 
 // roundSchedule is load round r of a run: schedule seed+r, so a run's
-// rounds span several schedules, like the CLI workloads' program seeds.
+// rounds span several schedules.
 func roundSchedule(seed uint64, round int) schedule {
 	n := seed + uint64(round)
 	pool := requestPool()
@@ -238,6 +238,7 @@ type reply struct {
 
 // loadRound is one schedule played against one fresh server.
 type loadRound struct {
+	setup    time.Duration // server start, warm-up included
 	makespan time.Duration // first due to last reply
 	cpu      time.Duration // process CPU during the round
 	replies  []reply
@@ -249,12 +250,13 @@ type loadRound struct {
 // all due at once, on one connection, sends them back to back. tr, when
 // non-nil, records a span per request.
 func runRound(sch schedule, conns int, tr *tracer) (loadRound, error) {
+	t0 := time.Now()
 	s, err := startServer()
 	if err != nil {
 		return loadRound{}, err
 	}
 	defer s.stop()
-	lr := loadRound{replies: make([]reply, len(sch.bodies))}
+	lr := loadRound{setup: time.Since(t0), replies: make([]reply, len(sch.bodies))}
 
 	cpu0 := processCPU()
 	late := make([]time.Duration, len(sch.bodies)) // written by the dispatcher only
@@ -337,12 +339,11 @@ func peakRSS() float64 {
 // verifier checks served bodies against serve.ExecuteNDJSON for the same
 // request, executing each distinct request once.
 type verifier struct {
-	ref  map[string][]byte
-	exec map[string]time.Duration // serial execution time of each reference
+	ref map[string][]byte
 }
 
 func newVerifier() *verifier {
-	return &verifier{ref: map[string][]byte{}, exec: map[string]time.Duration{}}
+	return &verifier{ref: map[string][]byte{}}
 }
 
 func (v *verifier) reference(req []byte) ([]byte, error) {
@@ -353,12 +354,10 @@ func (v *verifier) reference(req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
 	b, err := serve.ExecuteNDJSON(context.Background(), parsed, serve.ExecConfig{Batch: 8})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", req, err)
 	}
-	v.exec[string(req)] = time.Since(t0)
 	v.ref[string(req)] = b
 	return b, nil
 }
@@ -415,7 +414,7 @@ func roundWork(lr loadRound) (float64, error) {
 
 // sweepdRun is what one run of the workload measured.
 type sweepdRun struct {
-	setup         float64 // median server start, seconds
+	setup         []float64 // server starts, seconds
 	sweeps, loads []loadRound
 }
 
@@ -424,33 +423,35 @@ const poolSweepsPerLoad = 2
 
 // play measures set-up, then runs pool sweeps and load rounds for the
 // window (at least minOps load rounds), or exactly fixed load rounds when
-// fixed > 0.
+// fixed > 0. Every round starts its own server, and each start is one
+// more set-up sample, so the set-up median does not rest on one moment
+// of a shared host.
 func play(e env, fixed int) (sweepdRun, error) {
 	var run sweepdRun
-	starts := make([]float64, setupSamples)
-	for i := range starts {
+	for i := 0; i < setupSamples; i++ {
 		t0 := time.Now()
 		s, err := startServer()
 		if err != nil {
 			return run, err
 		}
-		starts[i] = time.Since(t0).Seconds()
+		run.setup = append(run.setup, time.Since(t0).Seconds())
 		s.stop()
 	}
-	run.setup = median(starts)
 	var err error
-	loopOps(e.seconds, fixed, func() float64 {
+	loopOps(e.seconds, fixed, 1, func() float64 {
 		t0 := time.Now()
 		for i := 0; i < poolSweepsPerLoad && err == nil; i++ {
 			var sw loadRound
 			if sw, err = runRound(poolSweep(e.seed), 1, nil); err == nil {
 				run.sweeps = append(run.sweeps, sw)
+				run.setup = append(run.setup, sw.setup.Seconds())
 			}
 		}
 		if err == nil {
 			var ld loadRound
 			if ld, err = runRound(roundSchedule(e.seed, len(run.loads)), sweepdConns, nil); err == nil {
 				run.loads = append(run.loads, ld)
+				run.setup = append(run.setup, ld.setup.Seconds())
 			}
 		}
 		return time.Since(t0).Seconds()
@@ -458,12 +459,13 @@ func play(e env, fixed int) (sweepdRun, error) {
 	return run, err
 }
 
-// sweepdUntraced reports: setup_s, the median of setupSamples server
-// starts (listener, serve loop, /healthz, one warm-up request); sweep_s, cpu_s and sim_rw_per_s of
-// the pool sweep (every distinct request once, serially, all misses:
-// the service's cost per sweep); peak_rss_mb of this process (server and
-// client); and req_p50_ms/req_p95_ms, the latency of answered load-round
-// requests from when each was due. ok_ratio counts every request sent.
+// sweepdUntraced reports: setup_s, the median of every server start in
+// the run (listener, serve loop, /healthz, one warm-up request); sweep_s,
+// cpu_s and sim_rw_per_s of the pool sweep (every distinct request once,
+// serially, all misses: the service's cost per sweep); peak_rss_mb of
+// this process (server and client); and req_p50_ms/req_p95_ms, the
+// latency of answered load-round requests from when each was due.
+// ok_ratio counts every request sent.
 func sweepdUntraced(e env) (map[string]metric, *tally, error) {
 	run, err := play(e, 0)
 	if err != nil {
@@ -501,7 +503,7 @@ func sweepdUntraced(e env) (map[string]metric, *tally, error) {
 		return nil, t, fmt.Errorf("req_p95_ms: %w", err)
 	}
 	return map[string]metric{
-		"setup_s":      {run.setup, "s"},
+		"setup_s":      {median(run.setup), "s"},
 		"sweep_s":      {median(wall), "s"},
 		"sim_rw_per_s": {median(rwps), "1/s"},
 		"cpu_s":        {median(cpu), "s"},
@@ -512,9 +514,47 @@ func sweepdUntraced(e env) (map[string]metric, *tally, error) {
 	}, t, nil
 }
 
+// splitHits replays a schedule serially on a fresh server and sorts each
+// answered request by the server's own cache counters, read before and
+// after it: a hit or a miss (one request at a time never coalesces). It
+// returns their service times in milliseconds and tallies every reply.
+func splitHits(sch schedule, v *verifier, t *tally) (hits, misses []float64, err error) {
+	s, err := startServer()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.stop()
+	before, err := s.metrics()
+	if err != nil {
+		return nil, nil, err
+	}
+	lr := loadRound{replies: make([]reply, len(sch.bodies))}
+	start := time.Now()
+	for i := range sch.bodies {
+		r := s.send(sch, i, start, nil)
+		lr.replies[i] = r
+		after, err := s.metrics()
+		if err != nil {
+			return nil, nil, err
+		}
+		if r.err == nil && r.status == http.StatusOK {
+			ms := float64(r.serviceTime.Nanoseconds()) / 1e6
+			switch {
+			case after.Cache.Hits > before.Cache.Hits:
+				hits = append(hits, ms)
+			case after.Cache.Misses > before.Cache.Misses:
+				misses = append(misses, ms)
+			}
+		}
+		before = after
+	}
+	return hits, misses, v.tallyRound(lr, t)
+}
+
 // sweepdTraced plays one untraced pool sweep for the overhead baseline
-// and one load round with a client span per request, reads the server's
-// /metrics, then replays the pool sweep's requests and the round's other
+// and one load round with a client span per request, and reads the
+// server's /metrics. It then replays the round serially to split hits
+// from misses (splitHits), and replays the pool sweep's requests and the round's other
 // distinct requests serially through the traced replay (phase probes on,
 // as in sweepd) to split a miss by layer. Every replayed body must equal
 // the served one.
@@ -560,18 +600,13 @@ func sweepdTraced(e env) (map[string]metric, *tally, error) {
 		}
 	}
 
-	// A hit answers in far less than its request's serial execution time;
-	// a miss or a coalesced wait takes about that long or more.
-	var hits, misses []float64
 	var bytesOut float64
 	for _, r := range answered(lr) {
-		ms := float64(r.serviceTime.Nanoseconds()) / 1e6
-		if r.serviceTime < v.exec[string(r.req)]/2 {
-			hits = append(hits, ms)
-		} else {
-			misses = append(misses, ms)
-		}
 		bytesOut += float64(len(r.body))
+	}
+	hits, misses, err := splitHits(sch, v, t)
+	if err != nil {
+		return nil, t, err
 	}
 	if len(hits) > 0 {
 		vals["serve.hit_p50_ms"] = median(hits)
