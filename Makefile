@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: all build test race lint bench-smoke bench-ledger
+.PHONY: all build test race lint fuzz linedelta bench-smoke bench-ledger
 
 all: build lint test
 
@@ -19,6 +19,20 @@ race:
 # lint entry point.
 lint:
 	go run ./cmd/repolint ./...
+
+# Fuzz every input grammar for a fixed 15 s each (CI runs the same):
+# workload specs, scheduler specs, fault specs and sweep requests.
+fuzz:
+	go test ./internal/graph -run '^$$' -fuzz '^FuzzParseWorkload$$' -fuzztime 15s
+	go test ./internal/sim -run '^$$' -fuzz '^FuzzParseScheduler$$' -fuzztime 15s
+	go test ./internal/sim/fault -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 15s
+	go test ./internal/serve -run '^$$' -fuzz '^FuzzParseSweepRequest$$' -fuzztime 15s
+
+# Net non-test Go line delta against BASE (default main), the figure
+# every change states: make linedelta BASE=<commit>.
+BASE ?= main
+linedelta:
+	@scripts/linedelta.sh $(BASE)
 
 # The allocation gates CI enforces, runnable locally; failures echo the
 # offending benchmark line (scripts/benchgate.awk).

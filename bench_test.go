@@ -74,14 +74,14 @@ func BenchmarkRunnerSerialVsParallel(b *testing.B) {
 		for _, fam := range fams {
 			for _, n := range sizes {
 				fam, n := fam, n
-				jobs = append(jobs, runner.Job{Build: func(seed uint64) (*sim.World, int, error) {
+				jobs = append(jobs, runner.Job{Build: func(seed uint64, _ any) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g := graph.FromFamily(fam, n, rng)
 					k := max(2, g.N()/2)
 					sc := &gather.Scenario{G: g,
 						IDs:       gather.AssignIDs(k, g.N(), rng),
 						Positions: place.Clustered(g, k, max(1, k/2), rng)}
-					w, err := sc.NewUndispersedWorld()
+					w, err := sc.NewWorld("undispersed", 0)
 					return w, gather.R(g.N()) + 2, err
 				}})
 			}
@@ -119,7 +119,7 @@ func BenchmarkSimStep(b *testing.B) {
 				Positions: place.Random(g, k, rng),
 			}
 			sc.Certify()
-			w, err := sc.NewFasterWorld()
+			w, err := sc.NewWorld("faster", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -297,7 +297,7 @@ func BenchmarkUndispersedGathering(b *testing.B) {
 					IDs:       gather.AssignIDs(4, g.N(), rng),
 					Positions: place.Clustered(g, 4, 2, rng),
 				}
-				res, err := sc.RunUndispersed(gather.R(g.N()) + 2)
+				res, err := sc.Run("undispersed", 0, gather.R(g.N())+2)
 				if err != nil || !res.DetectionCorrect {
 					b.Fatalf("failed: %v %+v", err, res)
 				}
@@ -323,7 +323,7 @@ func BenchmarkFasterGatheringManyRobots(b *testing.B) {
 			Positions: place.MaxMinDispersed(g, k, rng),
 		}
 		sc.Certify()
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
 		if err != nil || !res.DetectionCorrect {
 			b.Fatalf("failed: %v %+v", err, res)
 		}
@@ -348,7 +348,7 @@ func BenchmarkDFSEnumDepth3(b *testing.B) {
 	dur := sc.Cfg.HopDuration(3, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sc.RunHopMeet(3, dur+1)
+		res, err := sc.Run("hopmeet", 3, dur+1)
 		if err != nil || !res.AllTerminated {
 			b.Fatal("hop meet failed")
 		}
@@ -407,7 +407,7 @@ func BenchmarkBeepGathering(b *testing.B) {
 	sc.Certify()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil || !res.DetectionCorrect {
 			b.Fatalf("beep run failed: %v %+v", err, res)
 		}
@@ -512,12 +512,12 @@ func BenchmarkSweepPooledWorld(b *testing.B) {
 	buildJobs := func() []runner.Job {
 		out := make([]runner.Job, jobs)
 		for i := range out {
-			out[i] = runner.Job{BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			out[i] = runner.Job{Build: func(seed uint64, state any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				job := *shared
 				job.IDs = gather.AssignIDs(k, job.G.N(), rng)
 				job.Positions = place.Clustered(job.G, k, k/2, rng)
-				w, err := job.NewUXSWorldIn(gather.ArenaOf(state))
+				w, err := job.NewWorldIn(gather.ArenaOf(state), "uxs", 0)
 				return w, rounds, err
 			}}
 		}
@@ -557,7 +557,7 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 	buildJobs := func(shared *gather.Scenario) []runner.Job {
 		out := make([]runner.Job, jobs)
 		for i := range out {
-			out[i] = runner.Job{Build: func(seed uint64) (*sim.World, int, error) {
+			out[i] = runner.Job{Build: func(seed uint64, _ any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				sc := shared
 				if sc == nil { // rebuild arm: graph + certification per job
@@ -572,7 +572,7 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 				job := *sc
 				job.IDs = gather.AssignIDs(k, job.G.N(), rng)
 				job.Positions = place.Clustered(job.G, k, k/2, rng)
-				w, err := job.NewUndispersedWorld()
+				w, err := job.NewWorld("undispersed", 0)
 				return w, rounds, err
 			}}
 		}

@@ -11,11 +11,12 @@
 // With -seeds N it becomes a batch harness: ONE frozen graph is built from
 // -seed and shared, read-only, by all N jobs on the internal/runner worker
 // pool (-parallel sets the pool size; 0 = all cores); each seed draws its
-// own IDs, placement and scheduler. Each worker owns a pooled simulation
-// arena, so after its first job it rewinds one long-lived world via Reset
-// instead of rebuilding the engine. One summary row prints per seed plus
-// aggregate stats; rows are bit-identical at every -parallel setting
-// (pooled or not), and no job constructs a graph.
+// own IDs, placement and scheduler. The sweep runs through the sweep
+// service's executor (the one -ndjson and sweepd use), on pooled
+// per-worker state, so after its first job a worker rewinds its
+// long-lived world or lanes instead of rebuilding the engine. One summary
+// row prints per seed plus aggregate stats; rows are bit-identical at
+// every -parallel and -batch setting, and no job constructs a graph.
 //
 //	gathersim -workload cycle:12 -k 7 -seeds 32 -parallel 8
 //
@@ -43,10 +44,8 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/prof"
-	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -124,16 +123,23 @@ func gathersim() int {
 	prof.EnablePhases(*phases)
 
 	switch {
-	case *ndjson:
+	case *ndjson || *seeds > 1:
 		if *trace > 0 || *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -ndjson mode")
+			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -seeds and -ndjson modes")
 		}
-		err = runNDJSON(spec, *algo, *placement, *sched, *faults, *churn, *k, *radius, *seed, *seeds, *maxRounds, *parallel, *batchW)
-	case *seeds > 1:
-		if *trace > 0 || *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -seeds batch mode")
-		}
-		err = runBatch(wl, *algo, *placement, *sched, fs, *churn, *k, *radius, *seed, *seeds, *parallel, *batchW, *maxRounds, *times)
+		err = runSweep(serve.SweepRequest{
+			Workload:  spec,
+			Algo:      *algo,
+			K:         *k,
+			Radius:    *radius,
+			Placement: *placement,
+			Sched:     *sched,
+			Seed:      *seed,
+			Seeds:     *seeds,
+			MaxRounds: *maxRounds,
+			Faults:    *faults,
+			Churn:     *churn,
+		}, fs, serve.ExecConfig{Parallel: *parallel, Batch: *batchW}, *ndjson, *times)
 	default:
 		err = run(wl, *algo, *placement, *sched, *dotFile, fs, *churn, *k, *radius, *seed, *maxRounds, *trace)
 	}
@@ -185,16 +191,6 @@ func printCatalog() {
 	}
 }
 
-// The scenario-building core — placement engines, scheduler derivation,
-// world construction, the certification/diameter size bound — lives in
-// internal/serve, shared verbatim with the sweepd service so the two
-// paths cannot drift; the wrappers below keep this file's call sites
-// readable.
-
-// certifyScenario runs the scenario's UXS certification when the instance
-// is small enough for the coverage walk to be feasible.
-func certifyScenario(sc *gather.Scenario) { serve.CertifyScenario(sc) }
-
 // diameterLabel formats the graph's diameter, or "n/a" when the instance
 // is too large for the all-pairs BFS.
 func diameterLabel(g *graph.Graph) string {
@@ -203,17 +199,6 @@ func diameterLabel(g *graph.Graph) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%d", d)
-}
-
-// buildSched parses the -sched spec into a fresh per-run scheduler (see
-// serve.BuildSched for the seed-decorrelation contract).
-func buildSched(spec string, seed uint64) (sim.Scheduler, error) {
-	return serve.BuildSched(spec, seed)
-}
-
-// placeRobots draws k starting positions on g with the requested engine.
-func placeRobots(g *graph.Graph, placement string, k int, rng *graph.RNG) ([]int, error) {
-	return serve.PlaceRobots(g, placement, k, rng)
 }
 
 // buildScenario instantiates the requested scenario shape from one seed:
@@ -227,43 +212,24 @@ func buildScenario(wl *graph.Workload, placement string, k int, seed uint64) (*g
 	if k < 1 {
 		return nil, fmt.Errorf("need at least one robot")
 	}
-	pos, err := placeRobots(g, placement, k, rng)
+	pos, err := serve.PlaceRobots(g, placement, k, rng)
 	if err != nil {
 		return nil, err
 	}
 	sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}
-	certifyScenario(sc)
+	serve.CertifyScenario(sc)
 	return sc, nil
 }
 
-// buildWorld loads the scenario into a world for the requested algorithm
-// and returns it with the algorithm-derived round cap; see
-// serve.BuildWorld for the pooling and round-budget contract.
-func buildWorld(sc *gather.Scenario, algo string, radius int, arena *gather.Arena) (*sim.World, int, error) {
-	return serve.BuildWorld(sc, algo, radius, arena)
-}
-
-// runNDJSON routes the seed sweep through the sweep-service executor and
-// prints the NDJSON body: one header row, one row per seed, one
-// aggregate row. The CLI flags are serialized into a sweep request and
-// parsed by the SAME decoder the service uses, so validation, defaults
-// and execution are the service's own — which is what makes this output
-// byte-identical to a sweepd response for the same tuple (the CI
-// conformance gate diffs the two).
-func runNDJSON(workload, algo, placement, sched, faults string, churn float64, k, radius int, seed uint64, seeds, maxRounds, parallel, batchW int) error {
-	raw, err := json.Marshal(serve.SweepRequest{
-		Workload:  workload,
-		Algo:      algo,
-		K:         k,
-		Radius:    radius,
-		Placement: placement,
-		Sched:     sched,
-		Seed:      seed,
-		Seeds:     seeds,
-		MaxRounds: maxRounds,
-		Faults:    faults,
-		Churn:     churn,
-	})
+// runSweep runs the seed sweep through the sweep-service executor
+// (serve.ExecuteSweep): the CLI flags are serialized into a sweep request
+// and parsed by the SAME decoder the service uses, so validation,
+// defaults and execution are the service's own. -ndjson prints the
+// service's body — byte-identical to a sweepd response for the same tuple
+// (the CI conformance gate diffs the two) — and text mode renders the
+// same results as a per-seed table.
+func runSweep(flags serve.SweepRequest, fs fault.Spec, cfg serve.ExecConfig, ndjson, times bool) error {
+	raw, err := json.Marshal(flags)
 	if err != nil {
 		return err
 	}
@@ -271,12 +237,19 @@ func runNDJSON(workload, algo, placement, sched, faults string, churn float64, k
 	if err != nil {
 		return err
 	}
-	body, err := serve.ExecuteNDJSON(context.Background(), req, serve.ExecConfig{Parallel: parallel, Batch: batchW})
+	if ndjson {
+		body, err := serve.ExecuteNDJSON(context.Background(), req, cfg)
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(body)
+		return err
+	}
+	sw, err := serve.ExecuteSweep(context.Background(), req, cfg)
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(body)
-	return err
+	return printSweep(req, fs, sw, cfg.Batch, times)
 }
 
 func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Spec, churn float64, k, radius int, seed uint64, maxRounds, trace int) error {
@@ -284,7 +257,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 	if err != nil {
 		return err
 	}
-	if sc.Sched, err = buildSched(sched, seed); err != nil {
+	if sc.Sched, err = serve.BuildSched(sched, seed); err != nil {
 		return err
 	}
 	n := sc.G.N()
@@ -317,22 +290,16 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 		fmt.Printf("scenario graph written to %s\n", dotFile)
 	}
 
-	w, cap, err := buildWorld(sc, algo, radius, nil)
-	if err != nil {
-		return err
-	}
-	if maxRounds > 0 {
-		cap = maxRounds
-	}
 	// Faults and churn derive their streams through the same salts every
 	// surface uses, so this single run replays any sweep row exactly.
-	if err := fault.Apply(w, sc.IDs, fs.Plan(k, cap, seed^gather.FaultSeedSalt)); err != nil {
+	w, cap, err := serve.Run{
+		Scenario: func() (*gather.Scenario, error) { return sc, nil },
+		Algo:     algo, Radius: radius, MaxRounds: maxRounds,
+		Faults: fs, FaultSeed: seed ^ gather.FaultSeedSalt,
+		Churn: churn, ChurnSeed: seed ^ gather.ChurnSeedSalt,
+	}.World(nil)
+	if err != nil {
 		return err
-	}
-	if churn > 0 {
-		if err := w.SetOverlay(graph.NewOverlay(sc.G, churn, seed^gather.ChurnSeedSalt)); err != nil {
-			return err
-		}
 	}
 	if trace > 0 {
 		w.SetTracer(&sim.PositionLogger{W: os.Stdout, Every: trace})
@@ -348,153 +315,45 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 	return nil
 }
 
-// runBatch executes the scenario shape across consecutive seeds on the
-// parallel runner and prints a per-seed summary table. The frozen graph —
-// and the UXS certification that depends only on it — is built ONCE from
-// the base -seed and shared read-only by every job; each job draws its
-// own IDs, placement and scheduler from its row seed (schedulers are
-// per-run stateful), so rows are bit-identical at every -parallel setting
-// and no worker ever constructs a graph. Each worker additionally owns a
-// pooled gather.Arena: every job after a worker's first reuses that
-// worker's world and agents via Reset instead of allocating a fresh
-// engine, so the batch's steady-state per-job cost is IDs + placement +
-// scheduler, nothing else.
-func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, churn float64, k, radius int, base uint64, seeds, parallel, batchW, maxRounds int, times bool) error {
-	g, err := wl.Build(graph.NewRNG(base))
-	if err != nil {
-		return err
-	}
-	shared := &gather.Scenario{G: g}
-	certifyScenario(shared)
-	cfg := shared.Cfg
-
-	// buildJobScenario derives one row's scenario exactly the same way on
-	// the scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph and certification shared.
-	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
-		rng := graph.NewRNG(scSeed)
-		if k < 1 {
-			return nil, fmt.Errorf("need at least one robot")
-		}
-		pos, err := placeRobots(g, placement, k, rng)
-		if err != nil {
-			return nil, err
-		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos, Cfg: cfg}
-		if sc.Sched, err = buildSched(sched, scSeed); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
-
-	// overlayFor fetches the churn overlay from the worker's pool (fresh
-	// when the runner carries no pool). Churn is per-instance — one seed
-	// for the whole batch — so every row, and every lane of a lockstep
-	// batch, sees the same edge weather.
-	overlayFor := func(state any) *graph.Overlay {
-		ovSeed := base ^ gather.ChurnSeedSalt
-		if p := gather.OverlayPoolOf(state); p != nil {
-			return p.Get(g, churn, ovSeed)
-		}
-		return graph.NewOverlay(g, churn, ovSeed)
-	}
-
-	jobs := make([]runner.Job, seeds)
-	for i := range jobs {
-		scSeed := base + uint64(i)
-		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return nil, 0, err
-				}
-				w, cap, err := buildWorld(sc, algo, radius, gather.ArenaOf(state))
-				if err != nil {
-					return nil, 0, err
-				}
-				if maxRounds > 0 {
-					cap = maxRounds
-				}
-				if err := fault.Apply(w, sc.IDs, fs.Plan(k, cap, scSeed^gather.FaultSeedSalt)); err != nil {
-					return nil, 0, err
-				}
-				if churn > 0 {
-					if err := w.SetOverlay(overlayFor(state)); err != nil {
-						return nil, 0, err
-					}
-				}
-				return w, cap, nil
-			},
-			Lane: func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(algo, radius)
-				if err != nil {
-					return err
-				}
-				if maxRounds > 0 {
-					cap = maxRounds
-				}
-				if churn > 0 {
-					// Bind before AddLane so the engine cross-checks the
-					// overlay's graph against the first lane's.
-					if err := e.SetOverlay(overlayFor(state)); err != nil {
-						return err
-					}
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo, radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				return fault.ApplyLane(e, lane, sc.IDs, fs.Plan(k, cap, scSeed^gather.FaultSeedSalt))
-			}}
-	}
-	r := runner.New(parallel).WithWorkerState(func(int) any { return gather.NewSweepState() })
+// printSweep renders an executed -seeds sweep as the per-seed summary
+// table. The frozen graph — and the UXS certification that depends only
+// on it — was built ONCE from the base -seed and shared read-only by every
+// job; each row drew its own IDs, placement and scheduler from its row
+// seed, so rows are bit-identical at every -parallel and -batch setting.
+// The per-seed time column appears only on the scalar path (-batch 0):
+// lanes of a lockstep batch have no wall time of their own.
+func printSweep(req *serve.SweepRequest, fs fault.Spec, sw *serve.Sweep, batchW int, times bool) error {
+	base := req.Seed
 	fmt.Printf("batch: %d seeds (%d..%d), algo %s, workload %s, sched %s, k=%d\n",
-		seeds, base, base+uint64(seeds)-1, algo, wl, sched, k)
-	if fs.Kind != fault.None || churn > 0 {
-		fmt.Printf("adversary: faults=%s churn=%g\n", fs, churn)
+		req.Seeds, base, base+uint64(req.Seeds)-1, req.Algo, req.Workload, req.Sched, req.K)
+	if fs.Kind != fault.None || req.Churn > 0 {
+		fmt.Printf("adversary: faults=%s churn=%g\n", fs, req.Churn)
 	}
 	fmt.Printf("shared graph: %s (diameter %s), built once from seed %d",
-		g, diameterLabel(g), base)
+		sw.Graph, diameterLabel(sw.Graph), base)
 	if times {
 		// Worker count and wall times vary with -parallel; keep them out
 		// of -times=false output so it diffs clean at any pool size.
-		fmt.Printf(", %d workers", r.Workers())
+		fmt.Printf(", %d workers", sw.Workers)
 	}
 	fmt.Print("\n\n")
-	var (
-		results []runner.JobResult
-		st      runner.Stats
-	)
-	if batchW > 0 {
-		results, st = r.RunBatched(base, jobs, batchW)
-	} else {
-		results, st = r.Run(base, jobs)
-	}
 
+	seedTimes := times && batchW == 0
 	fmt.Printf("%8s %8s %6s %8s %10s", "seed", "rounds", "gather", "detect", "moves")
-	if times {
+	if seedTimes {
 		fmt.Printf(" %8s", "time")
 	}
 	fmt.Println()
 	detected, crashed := 0, 0
 	firstStack := ""
-	for _, res := range results {
+	for _, res := range sw.Results {
 		if res.Err != nil {
 			// Only a contained panic (algorithm run outside its model,
 			// recognizable by its captured stack) is a per-seed outcome:
 			// the other seeds' rows still print, and the one-line message
 			// is deterministic so batch output stays diffable across
-			// -parallel settings. A plain build error (bad placement,
-			// beep with k>2) is a configuration mistake and fails the
-			// batch like it fails a single run.
+			// -parallel settings. A plain build error is a configuration
+			// mistake and fails the batch like it fails a single run.
 			if res.Stack == "" {
 				return fmt.Errorf("seed %d: %w", res.Meta.(uint64), res.Err)
 			}
@@ -510,11 +369,12 @@ func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, 
 		}
 		fmt.Printf("%8d %8d %6v %8v %10d", res.Meta.(uint64), res.Res.Rounds,
 			res.Res.Gathered, res.Res.DetectionCorrect, res.Res.TotalMoves)
-		if times {
+		if seedTimes {
 			fmt.Printf(" %8s", res.Elapsed.Round(time.Microsecond))
 		}
 		fmt.Println()
 	}
+	st := sw.Stats
 	fmt.Printf("\naggregate: %d/%d detection-correct, %d crashed, %d total rounds, %d total moves\n",
 		detected, st.Jobs, crashed, st.Rounds, st.Moves)
 	if firstStack != "" {
@@ -524,7 +384,7 @@ func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, 
 	}
 	if times {
 		fmt.Printf("wall %s, summed job time %s on %d workers\n",
-			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), r.Workers())
+			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), sw.Workers)
 	}
 	return nil
 }

@@ -30,7 +30,7 @@ func main() {
 
 	run := func(title string, prep func(w *sim.World)) {
 		sc := &gather.Scenario{G: g, IDs: ids, Positions: pos, Cfg: base.Cfg}
-		w, err := sc.NewUXSWorld()
+		w, err := sc.NewWorld("uxs", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,7 +62,14 @@ func main() {
 	// configuration experiment E16 measures).
 	T := base.Cfg.UXSLength(g.N())
 	sc := &gather.Scenario{G: g, IDs: []int{6, 9}, Positions: []int{0, 3}, Cfg: base.Cfg}
-	w, err := sc.NewUXSWorldDelayed([]int{12 * T, 0})
+	agents, err := sc.NewAgents("uxs", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, wake := range []int{12 * T, 0} {
+		agents[i] = sim.Delayed(agents[i], wake)
+	}
+	w, err := sim.NewWorld(g, agents, sc.Positions)
 	if err != nil {
 		log.Fatal(err)
 	}

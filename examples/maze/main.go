@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("robots %v start at rooms %v (closest pair %d corridors apart)\n\n",
 		sc.IDs, sc.Positions, sc.MinPairDistance())
 
-	w, err := sc.NewFasterWorld()
+	w, err := sc.NewWorld("faster", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("graph: %v, robots at %v (min pairwise distance %d)\n",
 		g, sc.Positions, sc.MinPairDistance())
 
-	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+	res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(g.N())+10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,11 +37,11 @@ func build() *gathering.Scenario {
 	return sc
 }
 
-// safeRun builds a world via mk and runs it with panic containment
+// safeRun builds the algorithm's world and runs it with panic containment
 // (World.SafeRun): outside the synchronous model an algorithm crashing
 // is an outcome to report, not a reason to die.
-func safeRun(mk func() (*gathering.World, error), cap int) (gathering.Result, error) {
-	w, err := mk()
+func safeRun(sc *gathering.Scenario, algo string, cap int) (gathering.Result, error) {
+	w, err := sc.NewWorld(algo, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 			sc.Sched = gathering.NewSemiSync(p, 1)
 		}
 		cap := 8 * (sc.Cfg.FasterBound(sc.G.N()) + 10)
-		res, err := safeRun(sc.NewDessmarkWorld, cap)
+		res, err := safeRun(sc, "dessmark", cap)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func main() {
 			sc.Sched = gathering.NewSemiSync(p, 1)
 		}
 		cap := 2 * (sc.Cfg.UXSGatherBound(sc.G.N()) + 2)
-		res, err := safeRun(sc.NewUXSWorld, cap)
+		res, err := safeRun(sc, "uxs", cap)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func main() {
 	{
 		sc := build()
 		sc.Sched = gathering.NewSemiSync(0.75, 1)
-		_, err := safeRun(sc.NewFasterWorld, 2*(sc.Cfg.FasterBound(sc.G.N())+10))
+		_, err := safeRun(sc, "faster", 2*(sc.Cfg.FasterBound(sc.G.N())+10))
 		if err != nil {
 			fmt.Printf("  p=0.75  CRASHED: %s\n", err)
 		} else {

@@ -33,7 +33,7 @@ func main() {
 			Positions: pos,
 		}
 		sc.Certify()
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,12 +56,12 @@ func main() {
 	ids := gathering.AssignIDs(k, n, rng)
 	sc := &gathering.Scenario{G: g, IDs: ids, Positions: pos}
 	sc.Certify()
-	fast, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+	fast, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
 	if err != nil {
 		log.Fatal(err)
 	}
 	scU := &gathering.Scenario{G: g, IDs: ids, Positions: pos, Cfg: sc.Cfg}
-	uxs, err := scU.RunUXS(sc.Cfg.UXSGatherBound(n) + 2)
+	uxs, err := scU.Run("uxs", 0, sc.Cfg.UXSGatherBound(n)+2)
 	if err != nil {
 		log.Fatal(err)
 	}

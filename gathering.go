@@ -18,8 +18,10 @@
 //		Positions: gathering.MaxMinDispersed(g, 7, rng),
 //	}
 //	sc.Certify()
-//	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
-//	// res.DetectionCorrect reports gathering with detection.
+//	res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(g.N())+10)
+//	// res.DetectionCorrect reports gathering with detection. Run takes any
+//	// algorithm name (faster, uxs, undispersed, hopmeet, dessmark, beep);
+//	// sc.NewWorld(algo, radius) returns the world to step or trace.
 //
 // Graphs are immutable once frozen (Builder.Freeze, or any generator or
 // workload build): one *Graph may back any number of concurrent scenarios
@@ -69,8 +71,8 @@ type (
 	// restores constructor state so arenas can reuse agents across runs.
 	Resettable = sim.Resettable
 	// Arena is a worker-owned pool of simulation state (one long-lived
-	// world + agent set) for zero-rebuild sweeps; see Scenario's
-	// New*WorldIn constructors and Runner.WithWorkerState.
+	// world + agent set) for zero-rebuild sweeps; see
+	// Scenario.NewWorldIn and Runner.WithWorkerState.
 	Arena = gather.Arena
 	// Mode selects scaled or paper-faithful UXS lengths.
 	Mode = uxs.Mode
@@ -100,8 +102,9 @@ type (
 	// of independent worlds run on a bounded worker pool with results in
 	// submission order, bit-identical at any worker count.
 	Runner = runner.Runner
-	// Job is one unit of parallel work: a world builder (fed a
-	// deterministic per-job seed) plus the round cap.
+	// Job is one unit of parallel work: a world loader (fed a
+	// deterministic per-job seed and the worker's state) returning the
+	// world and its round cap.
 	Job = runner.Job
 	// JobResult pairs a job's outcome with its submission index and seed.
 	JobResult = runner.JobResult
@@ -220,7 +223,7 @@ var (
 	// NewRunner returns a runner with the given worker count; 0 selects
 	// GOMAXPROCS, 1 is the serial reference executor. Chain
 	// WithWorkerState(func(int) any { return gathering.NewArena() }) to
-	// give every worker a pooled simulation arena for Job.BuildIn.
+	// give every worker a pooled simulation arena for Job.Build.
 	NewRunner = runner.New
 	// JobSeed derives the deterministic seed of the i-th job of a batch,
 	// for reproducing a single sweep point in isolation.
@@ -228,7 +231,7 @@ var (
 	// NewArena returns an empty pooled-simulation arena.
 	NewArena = gather.NewArena
 	// ArenaOf coerces a runner worker-state value into an arena (nil =
-	// build fresh), for use inside Job.BuildIn callbacks.
+	// build fresh), for use inside Job.Build callbacks.
 	ArenaOf = gather.ArenaOf
 )
 

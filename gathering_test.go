@@ -16,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 		Positions: MaxMinDispersed(g, k, rng),
 	}
 	sc.Certify()
-	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+	res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(g.N())+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestFacadeRunner(t *testing.T) {
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		n := 8 + i
-		jobs[i] = Job{Meta: n, Build: func(seed uint64) (*World, int, error) {
+		jobs[i] = Job{Meta: n, Build: func(seed uint64, _ any) (*World, int, error) {
 			rng := NewRNG(seed)
 			g := Cycle(n)
 			g = g.WithPermutedPorts(rng)
 			k := n/2 + 1
 			sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: MaxMinDispersed(g, k, rng)}
 			sc.Certify()
-			w, err := sc.NewFasterWorld()
+			w, err := sc.NewWorld("faster", 0)
 			return w, sc.Cfg.FasterBound(n) + 10, err
 		}}
 	}

@@ -84,7 +84,7 @@ func runE6(w io.Writer, o Options) error {
 		d := d
 		m := &e6meta{d: d}
 		jobs = append(jobs, runner.Job{Meta: m,
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, _ any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.Path(n).WithPermutedPorts(rng)
 				u, v, ok := place.PairAtDistance(g, d, rng)
@@ -94,7 +94,7 @@ func runE6(w io.Writer, o Options) error {
 				sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}}
 				sc.Certify()
 				m.found, m.cfg = true, sc.Cfg
-				world, err := sc.NewFasterWorld()
+				world, err := sc.NewWorld("faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}})
 	}
@@ -142,14 +142,14 @@ func runE7(w io.Writer, o Options) error {
 		k := k
 		m := &e7meta{k: k}
 		jobs = append(jobs, runner.Job{Meta: m,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			Build: func(seed uint64, state any) (*sim.World, int, error) {
 				jrng := graph.NewRNG(seed)
 				ids := gather.AssignIDs(k, n, jrng)
 				pos := place.MaxMinDispersed(g, k, jrng)
 				sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
 				sc.Certify() // shared frozen graph: certification-cache hit after job one
 				m.minDist = place.MinPairwise(g, pos)
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
+				world, err := sc.NewWorldIn(gather.ArenaOf(state), "faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}})
 	}
@@ -208,12 +208,12 @@ func runE8(w io.Writer, o Options) error {
 	for ci, c := range cases {
 		sc := scenario(c, runner.JobSeed(o.Seed+8, ci))
 		jobs = append(jobs,
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
+			runner.Job{Build: func(_ uint64, state any) (*sim.World, int, error) {
+				world, err := sc.NewWorldIn(gather.ArenaOf(state), "faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}},
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
+			runner.Job{Build: func(_ uint64, state any) (*sim.World, int, error) {
+				world, err := sc.NewWorldIn(gather.ArenaOf(state), "uxs", 0)
 				return world, sc.Cfg.UXSGatherBound(n) + 2, err
 			}})
 	}
@@ -254,7 +254,7 @@ func runE9(w io.Writer, o Options) error {
 		m := &e9meta{}
 		jobs = append(jobs, runner.Job{Meta: m,
 			Stop: func(*sim.World) bool { return m.finder.B.Done() },
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, _ any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.FromFamily(graph.FamRandom, n, rng)
 				m.n, m.m = g.N(), g.M()
@@ -319,12 +319,12 @@ func runE10(w io.Writer, o Options) error {
 		clustered := c.name == "clustered"
 		sc := scenario(c.k, clustered, runner.JobSeed(o.Seed+10, ci))
 		jobs = append(jobs,
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
+			runner.Job{Build: func(_ uint64, state any) (*sim.World, int, error) {
+				world, err := sc.NewWorldIn(gather.ArenaOf(state), "faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}},
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
+			runner.Job{Build: func(_ uint64, state any) (*sim.World, int, error) {
+				world, err := sc.NewWorldIn(gather.ArenaOf(state), "uxs", 0)
 				return world, sc.Cfg.UXSGatherBound(n) + 2, err
 			}})
 	}

@@ -64,19 +64,19 @@ func runE11(w io.Writer, o Options) error {
 		mS, mO := &e11meta{d: d, found: found}, &e11meta{d: d, found: found}
 		if !found {
 			jobs = append(jobs,
-				runner.Job{Meta: mS, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-				runner.Job{Meta: mO, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+				runner.Job{Meta: mS, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }},
+				runner.Job{Meta: mO, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }})
 			continue
 		}
 		scO := *sc // shallow copy: same frozen graph, oracle config
 		scO.Cfg = gather.Config{KnownDistance: d, UXSLen: sc.Cfg.UXSLen}
 		jobs = append(jobs,
-			runner.Job{Meta: mS, Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorld()
+			runner.Job{Meta: mS, Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := sc.NewWorld("faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}},
-			runner.Job{Meta: mO, Build: func(uint64) (*sim.World, int, error) {
-				world, err := scO.NewFasterWorld()
+			runner.Job{Meta: mO, Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := scO.NewWorld("faster", 0)
 				return world, scO.Cfg.FasterBound(n) + 10, err
 			}})
 	}
@@ -119,7 +119,7 @@ func runE12(w io.Writer, o Options) error {
 			n, i := n, i
 			m := &e12meta{n: n, i: i}
 			jobs = append(jobs, runner.Job{Meta: m,
-				Build: func(seed uint64) (*sim.World, int, error) {
+				Build: func(seed uint64, _ any) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g := graph.Cycle(n).WithPermutedPorts(rng)
 					u, v, ok := place.PairAtDistance(g, i, rng)
@@ -129,7 +129,7 @@ func runE12(w io.Writer, o Options) error {
 					m.found = true
 					abl := gather.Config{KnownMaxDegree: 2}
 					sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}, Cfg: abl}
-					world, err := sc.NewHopMeetWorld(i)
+					world, err := sc.NewWorld("hopmeet", i)
 					return world, abl.HopDuration(i, n) + 1, err
 				}})
 		}
@@ -191,23 +191,23 @@ func runE13(w io.Writer, o Options) error {
 		mB, mF := &e13meta{d: d, found: found}, &e13meta{d: d, found: found}
 		if !found {
 			jobs = append(jobs,
-				runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-				runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+				runner.Job{Meta: mB, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }},
+				runner.Job{Meta: mF, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }})
 			continue
 		}
 		scF := *sc // shallow copy for the certified Faster arm
 		scF.Certify()
 		jobs = append(jobs,
-			runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {
+			runner.Job{Meta: mB, Build: func(uint64, any) (*sim.World, int, error) {
 				capRounds := 0
 				for i := 1; i <= d+1; i++ {
 					capRounds += sc.Cfg.HopDuration(i, sc.G.N()) + 1
 				}
-				world, err := sc.NewDessmarkWorld()
+				world, err := sc.NewWorld("dessmark", 0)
 				return world, capRounds + 10, err
 			}},
-			runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) {
-				world, err := scF.NewFasterWorld()
+			runner.Job{Meta: mF, Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := scF.NewWorld("faster", 0)
 				return world, scF.Cfg.FasterBound(scF.G.N()) + 10, err
 			}})
 	}

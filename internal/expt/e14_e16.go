@@ -75,12 +75,12 @@ func runE14(w io.Writer, o Options) error {
 		// graph and placement, and only build worlds inside the jobs.
 		sc := scenario(c.k, c.clus, runner.JobSeed(o.Seed+14, ci))
 		jobs = append(jobs,
-			runner.Job{Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorld()
+			runner.Job{Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := sc.NewWorld("faster", 0)
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}},
-			runner.Job{Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorld()
+			runner.Job{Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := sc.NewWorld("uxs", 0)
 				return world, sc.Cfg.UXSGatherBound(n) + 2, err
 			}})
 	}
@@ -137,8 +137,8 @@ func runE15(w io.Writer, o Options) error {
 	for _, c := range cases {
 		c := c
 		jobs = append(jobs, runner.Job{Meta: c,
-			Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorld()
+			Build: func(uint64, any) (*sim.World, int, error) {
+				world, err := sc.NewWorld("uxs", 0)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -197,8 +197,15 @@ func runE16(w io.Writer, o Options) error {
 		tau := tau
 		m := &e16meta{tau: tau, firstTerm: -1}
 		jobs = append(jobs, runner.Job{Meta: m,
-			Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldDelayed([]int{tau, 0})
+			Build: func(uint64, any) (*sim.World, int, error) {
+				agents, err := sc.NewAgents("uxs", 0)
+				if err != nil {
+					return nil, 0, err
+				}
+				for i, wake := range []int{tau, 0} {
+					agents[i] = sim.Delayed(agents[i], wake)
+				}
+				world, err := sim.NewWorld(sc.G, agents, sc.Positions)
 				if err != nil {
 					return nil, 0, err
 				}

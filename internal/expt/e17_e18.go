@@ -42,7 +42,7 @@ func mapJob(g *graph.Graph, naive bool) runner.Job {
 	m := &mapMeta{}
 	return runner.Job{Meta: m,
 		Stop: func(*sim.World) bool { return m.done() },
-		Build: func(uint64) (*sim.World, int, error) {
+		Build: func(uint64, any) (*sim.World, int, error) {
 			m.n, m.m = g.N(), g.M()
 			var (
 				agents []sim.Agent
@@ -150,17 +150,17 @@ func runE18(w io.Writer, o Options) error {
 			mB, mM := &e18meta{fam: fam, d: d, found: found}, &e18meta{fam: fam, d: d, found: found}
 			if !found {
 				jobs = append(jobs,
-					runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-					runner.Job{Meta: mM, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+					runner.Job{Meta: mB, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }},
+					runner.Job{Meta: mM, Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }})
 				continue
 			}
 			jobs = append(jobs,
-				runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {
-					world, err := sc.NewBeepWorld()
+				runner.Job{Meta: mB, Build: func(uint64, any) (*sim.World, int, error) {
+					world, err := sc.NewWorld("beep", 0)
 					return world, sc.Cfg.UXSGatherBound(sc.G.N()) + 2, err
 				}},
-				runner.Job{Meta: mM, Build: func(uint64) (*sim.World, int, error) {
-					world, err := sc.NewUXSWorld()
+				runner.Job{Meta: mM, Build: func(uint64, any) (*sim.World, int, error) {
+					world, err := sc.NewWorld("uxs", 0)
 					return world, sc.Cfg.UXSGatherBound(sc.G.N()) + 2, err
 				}})
 		}

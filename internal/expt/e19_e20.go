@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/place"
 	"repro/internal/runner"
+	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 )
 
 func init() {
@@ -31,26 +31,8 @@ func init() {
 // fresh inside every job (schedulers are per-run stateful).
 var e19Scheds = []string{"full", "semi:0.75", "adv:3"}
 
-// e19Algos maps an algorithm name to its (arena-pooled) world builder and
-// round bound.
-var e19Algos = []struct {
-	name  string
-	build func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error)
-	bound func(sc *gather.Scenario) int
-}{
-	{"undispersed",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewUndispersedWorldIn(a) },
-		func(sc *gather.Scenario) int { return gather.R(sc.G.N()) + 2 }},
-	{"uxs",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewUXSWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.UXSGatherBound(sc.G.N()) + 2 }},
-	{"faster",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewFasterWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.FasterBound(sc.G.N()) + 10 }},
-	{"dessmark",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewDessmarkWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.FasterBound(sc.G.N()) + 10 }},
-}
+// e19Algos is the algorithm grid of E19.
+var e19Algos = []string{"undispersed", "uxs", "faster", "dessmark"}
 
 // e19Instance builds one clustered (hence undispersed) k-robot instance.
 func e19Instance(fam graph.Family, n, k int, caseSeed uint64) *gather.Scenario {
@@ -104,36 +86,29 @@ func runE19(w io.Writer, o Options) error {
 	var jobs []runner.Job
 	for _, algo := range e19Algos {
 		for _, spec := range e19Scheds {
-			c := &cell{algo: algo.name, sched: spec}
+			c := &cell{algo: algo, sched: spec}
 			cells = append(cells, c)
 			for _, inst := range instances {
-				algo, spec, inst := algo, spec, inst
+				spec, inst := spec, inst
 				c.total++
-				jobs = append(jobs, runner.Job{Meta: c,
-					BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
+				bound, err := inst.sc.AlgoCap(algo, 0)
+				if err != nil {
+					return err
+				}
+				jobs = append(jobs, serve.Run{
+					Scenario: func() (*gather.Scenario, error) {
 						sched, err := sim.ParseScheduler(spec, inst.seed^0x19)
 						if err != nil {
-							return nil, 0, err
+							return nil, err
 						}
-						sc := inst.sc.WithScheduler(sched)
-						world, err := algo.build(sc, gather.ArenaOf(state))
-						// Double the synchronous budget: enough for the
-						// 1/p activation stretch, and a clear timeout
-						// verdict for runs desynchronization breaks.
-						return world, 2 * algo.bound(sc), err
+						return inst.sc.WithScheduler(sched), nil
 					},
-					Lane: func(_ uint64, state any, e *batch.Engine) error {
-						sched, err := sim.ParseScheduler(spec, inst.seed^0x19)
-						if err != nil {
-							return err
-						}
-						agents, err := inst.sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo.name, 0)
-						if err != nil {
-							return err
-						}
-						_, err = e.AddLane(inst.sc.G, agents, inst.sc.Positions, 2*algo.bound(inst.sc), sched)
-						return err
-					}})
+					Algo: algo,
+					// Double the synchronous budget: enough for the 1/p
+					// activation stretch, and a clear timeout verdict for
+					// runs desynchronization breaks.
+					MaxRounds: 2 * bound,
+				}.Job(c))
 			}
 		}
 	}
@@ -215,25 +190,19 @@ func runE20(w io.Writer, o Options) error {
 		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(2, g.N(), rng),
 			Positions: place.RandomDispersed(g, 2, rng)}
 		inst.Certify()
+		bound, err := inst.AlgoCap("dessmark", 0)
+		if err != nil {
+			return err
+		}
 		for _, pt := range points {
 			pt := pt
-			m := &jobMeta{pt: pt, inst: ii}
-			jobs = append(jobs, runner.Job{Meta: m,
-				BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-					sc := inst.WithScheduler(sim.NewSemiSync(pt.p, caseSeed^0x20))
-					world, err := sc.NewDessmarkWorldIn(gather.ArenaOf(state))
-					m.cap = 8 * (sc.Cfg.FasterBound(sc.G.N()) + 10)
-					return world, m.cap, err
+			m := &jobMeta{pt: pt, inst: ii, cap: 8 * bound}
+			jobs = append(jobs, serve.Run{
+				Scenario: func() (*gather.Scenario, error) {
+					return inst.WithScheduler(sim.NewSemiSync(pt.p, caseSeed^0x20)), nil
 				},
-				Lane: func(_ uint64, state any, e *batch.Engine) error {
-					agents, err := inst.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), "dessmark", 0)
-					if err != nil {
-						return err
-					}
-					m.cap = 8 * (inst.Cfg.FasterBound(inst.G.N()) + 10)
-					_, err = e.AddLane(inst.G, agents, inst.Positions, m.cap, sim.NewSemiSync(pt.p, caseSeed^0x20))
-					return err
-				}})
+				Algo: "dessmark", MaxRounds: m.cap,
+			}.Job(m))
 		}
 	}
 	results, _ := runSweep(o, o.Seed+20, jobs)

@@ -9,8 +9,6 @@ import (
 	"repro/internal/hunt"
 	"repro/internal/runner"
 	"repro/internal/serve"
-	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -89,35 +87,13 @@ func runE21(w io.Writer, o Options) error {
 			c := &cell{algo: algo, adv: adv}
 			cells = append(cells, c)
 			for _, inst := range instances {
-				algo, fs, inst := algo, fs, inst
+				inst := inst
 				c.total++
-				jobs = append(jobs, runner.Job{Meta: c,
-					BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-						world, cap, err := serve.BuildWorld(inst.sc, algo, 2, gather.ArenaOf(state))
-						if err != nil {
-							return nil, 0, err
-						}
-						plan := fs.Plan(k, cap, inst.seed^gather.FaultSeedSalt)
-						if err := fault.Apply(world, inst.sc.IDs, plan); err != nil {
-							return nil, 0, err
-						}
-						return world, cap, nil
-					},
-					Lane: func(_ uint64, state any, e *batch.Engine) error {
-						cap, err := inst.sc.AlgoCap(algo, 2)
-						if err != nil {
-							return err
-						}
-						agents, err := inst.sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo, 2)
-						if err != nil {
-							return err
-						}
-						lane, err := e.AddLane(inst.sc.G, agents, inst.sc.Positions, cap, nil)
-						if err != nil {
-							return err
-						}
-						return fault.ApplyLane(e, lane, inst.sc.IDs, fs.Plan(k, cap, inst.seed^gather.FaultSeedSalt))
-					}})
+				jobs = append(jobs, serve.Run{
+					Scenario: func() (*gather.Scenario, error) { return inst.sc, nil },
+					Algo:     algo, Radius: 2,
+					Faults: fs, FaultSeed: inst.seed ^ gather.FaultSeedSalt,
+				}.Job(c))
 			}
 		}
 	}
@@ -198,31 +174,20 @@ func runE22(w io.Writer, o Options) error {
 			return err
 		}
 		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), crng), Positions: pos, Cfg: cfg}
+		cap, err := inst.AlgoCap("uxs", 2)
+		if err != nil {
+			return err
+		}
 		for _, a := range arms {
-			a := a
-			m := &jobMeta{arm: a, inst: ii}
+			m := &jobMeta{arm: a, inst: ii, cap: cap}
 			// Per-arm overlays share one seed across instances — the sweep
 			// executors' per-instance churn contract — so an arm's rate is
 			// the only thing that varies between arms.
 			ovSeed := (o.Seed + 22) ^ gather.ChurnSeedSalt
-			jobs = append(jobs, runner.Job{Meta: m,
-				BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-					world, cap, err := serve.BuildWorld(inst, "uxs", 2, gather.ArenaOf(state))
-					if err != nil {
-						return nil, 0, err
-					}
-					m.cap = cap
-					if a.rate > 0 {
-						ov := graph.NewOverlay(g, a.rate, ovSeed)
-						if p := gather.OverlayPoolOf(state); p != nil {
-							ov = p.Get(g, a.rate, ovSeed)
-						}
-						if err := world.SetOverlay(ov); err != nil {
-							return nil, 0, err
-						}
-					}
-					return world, cap, nil
-				}})
+			jobs = append(jobs, serve.Run{
+				Scenario: func() (*gather.Scenario, error) { return inst, nil },
+				Algo:     "uxs", Radius: 2, Churn: a.rate, ChurnSeed: ovSeed,
+			}.Job(m))
 		}
 	}
 	results, err := sweep(o, o.Seed+22, jobs)

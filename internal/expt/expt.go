@@ -40,10 +40,10 @@ type Options struct {
 
 // sweep executes a batch of scenario jobs through the shared parallel
 // runner and returns per-job results in submission order, surfacing the
-// earliest job error. Every worker carries a gather.Arena, so jobs written
-// against Job.BuildIn + the Scenario.New*WorldIn constructors reuse one
-// long-lived world per worker instead of allocating a fresh engine per
-// sweep point; jobs using plain Build are unaffected.
+// earliest job error. Every worker carries a gather.SweepState, so jobs
+// that build in it (Scenario.NewWorldIn, serve.Run) reuse one long-lived
+// world per worker instead of allocating a fresh engine per sweep point;
+// jobs that ignore the state are unaffected.
 func sweep(o Options, base uint64, jobs []runner.Job) ([]runner.JobResult, error) {
 	results, _ := runSweep(o, base, jobs)
 	if err := runner.FirstErr(results); err != nil {

@@ -9,9 +9,9 @@ import (
 // sim.World plus the agent set loaded into it. Sweeps that run thousands
 // of short jobs hand each runner worker an Arena
 // (runner.WithWorkerState(func(int) any { return gather.NewArena() })) and
-// build every job's world *in* it via the Scenario.New*WorldIn
-// constructors; when consecutive jobs share the arena's shape — same
-// frozen graph, algorithm, robot count and config — the world is rewound
+// build every job's world *in* it via Scenario.NewWorldIn; when
+// consecutive jobs share the arena's shape — same frozen graph,
+// algorithm, robot count and config — the world is rewound
 // with World.Reset and the agents with sim.Resettable.Reset instead of
 // being reallocated, which removes per-job setup cost entirely (zero
 // allocations on the engine side). On any shape change the arena falls
@@ -62,18 +62,23 @@ func ArenaOf(state any) *Arena {
 	return nil
 }
 
-// newWorldIn is the pooled counterpart of newWorld: it builds the
-// scenario's world inside the arena, reusing the arena's world and agents
-// when the shape key matches, reusing just the world (grow-only Reset)
-// when only the graph matches, and constructing from scratch otherwise.
-// The scenario's scheduler (nil = FullSync) is installed in every case,
-// exactly as the fresh path does.
-func (s *Scenario) newWorldIn(a *Arena, algo string, radius int, mk func(id int) sim.Agent) (*sim.World, error) {
-	if a == nil {
-		return s.newWorld(mk)
+// NewWorldIn is NewWorld built inside the arena (nil = fresh): it reuses
+// the arena's world and agents when the shape key matches, reuses just the
+// world (grow-only Reset) when only the graph matches, and constructs from
+// scratch otherwise. The per-robot constructors come from algoMk, shared
+// with the lane path (NewAgentsIn), so the two engines can never drift
+// apart on construction inputs. The scenario's scheduler (nil = FullSync)
+// is installed in every case.
+func (s *Scenario) NewWorldIn(a *Arena, algo string, radius int) (*sim.World, error) {
+	mk, err := s.algoMk(algo, radius)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if a == nil {
+		a = &Arena{}
 	}
 	key := arenaKey{algo: algo, g: s.G, k: len(s.IDs), cfg: s.Cfg, radius: radius}
 	if a.pooled && a.key == key {
@@ -94,14 +99,10 @@ func (s *Scenario) newWorldIn(a *Arena, algo string, radius int, mk func(id int)
 			pooled = false
 		}
 	}
-	var (
-		w   *sim.World
-		err error
-	)
-	if a.world != nil && a.world.Graph() == s.G {
+	w := a.world
+	if w != nil && w.Graph() == s.G {
 		// Same frozen graph, different shape: the engine state still fits
 		// (grow-only), only the agents had to be rebuilt.
-		w = a.world
 		err = w.Reset(agents, s.Positions)
 	} else {
 		w, err = sim.NewWorld(s.G, agents, s.Positions)
@@ -112,50 +113,4 @@ func (s *Scenario) newWorldIn(a *Arena, algo string, radius int, mk func(id int)
 	w.SetScheduler(s.Sched)
 	a.world, a.agents, a.key, a.pooled = w, agents, key, pooled
 	return w, nil
-}
-
-// NewAlgoWorldIn is newWorldIn keyed by algorithm name, sharing the
-// per-robot constructor table (algoMk) with the batched agent-set path so
-// the two execution paths can never drift apart on construction inputs.
-// Callers that sweep over algorithm names (the CLIs, equivalence tests)
-// use this directly; the New*WorldIn wrappers below pin the names.
-func (s *Scenario) NewAlgoWorldIn(a *Arena, algo string, radius int) (*sim.World, error) {
-	mk, err := s.algoMk(algo, radius)
-	if err != nil {
-		return nil, err
-	}
-	return s.newWorldIn(a, algo, radius, mk)
-}
-
-// NewFasterWorldIn is NewFasterWorld built in the arena (nil = fresh).
-func (s *Scenario) NewFasterWorldIn(a *Arena) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "faster", 0)
-}
-
-// NewUXSWorldIn is NewUXSWorld built in the arena (nil = fresh).
-func (s *Scenario) NewUXSWorldIn(a *Arena) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "uxs", 0)
-}
-
-// NewUndispersedWorldIn is NewUndispersedWorld built in the arena (nil =
-// fresh).
-func (s *Scenario) NewUndispersedWorldIn(a *Arena) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "undispersed", 0)
-}
-
-// NewHopMeetWorldIn is NewHopMeetWorld built in the arena (nil = fresh).
-func (s *Scenario) NewHopMeetWorldIn(a *Arena, radius int) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "hopmeet", radius)
-}
-
-// NewDessmarkWorldIn is NewDessmarkWorld built in the arena (nil = fresh).
-func (s *Scenario) NewDessmarkWorldIn(a *Arena) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "dessmark", 0)
-}
-
-// NewBeepWorldIn is NewBeepWorld built in the arena (nil = fresh); the
-// scenario must have at most two robots (the [21] setting, enforced by
-// algoMk).
-func (s *Scenario) NewBeepWorldIn(a *Arena) (*sim.World, error) {
-	return s.NewAlgoWorldIn(a, "beep", 0)
 }

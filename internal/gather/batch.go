@@ -11,11 +11,11 @@ import (
 // hand out just its agent set (NewAgents / NewAgentsIn) so a batch engine
 // lane can be loaded without constructing a scalar world, AlgoCap is the
 // single source of the algorithm-derived round caps both execution paths
-// use, and LaneArena / SweepState extend the PR 5 pooling story to
-// per-lane agent sets.
+// use, and LaneArena / SweepState extend world pooling to per-lane agent
+// sets.
 
 // algoMk resolves a named algorithm to its per-robot agent constructor —
-// the same constructors the scalar New*World paths wrap. radius is the
+// the one registry behind both NewWorldIn and NewAgentsIn. radius is the
 // hopmeet radius and ignored elsewhere. The error texts mirror the CLI
 // contract ("unknown algorithm", beep's two-robot limit), so a batched
 // sweep reports a bad arm identically to the scalar path.

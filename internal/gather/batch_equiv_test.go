@@ -102,7 +102,7 @@ func TestBatchMatchesScalarAcrossSchedulers(t *testing.T) {
 						return sched
 					}
 					cap := batchCap(t, sc, algo, radius)
-					w, err := sc.WithScheduler(mkSched()).NewAlgoWorldIn(nil, algo, radius)
+					w, err := sc.WithScheduler(mkSched()).NewWorldIn(nil, algo, radius)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,7 +142,7 @@ func TestBatchHeterogeneousAlgorithms(t *testing.T) {
 	sc := goldenInstances("faster")[0]
 	cap := batchCap(t, sc, "faster", 0)
 	scalar := func(sched sim.Scheduler) (sim.Result, error) {
-		w, err := sc.WithScheduler(sched).NewAlgoWorldIn(nil, "faster", 0)
+		w, err := sc.WithScheduler(sched).NewWorldIn(nil, "faster", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,23 +134,3 @@ func (a *BeepAgent) Compose(env *sim.Env) []sim.Message { return a.G.Compose(env
 
 // Decide implements sim.Agent.
 func (a *BeepAgent) Decide(env *sim.Env) sim.Action { return a.G.Decide(env) }
-
-// NewBeepWorld returns a simulator world loaded with beeping-model
-// gathering robots; the scenario must have at most two robots (the [21]
-// setting).
-func (s *Scenario) NewBeepWorld() (*sim.World, error) {
-	if len(s.IDs) > 2 {
-		return nil, errTooManyForBeep
-	}
-	return s.newWorld(func(id int) sim.Agent { return NewBeepAgent(s.Cfg, s.G.N(), id) })
-}
-
-// RunBeep executes beeping-model gathering with detection; the scenario
-// must have at most two robots (the [21] setting).
-func (s *Scenario) RunBeep(maxRounds int) (sim.Result, error) {
-	w, err := s.NewBeepWorld()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}

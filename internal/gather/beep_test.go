@@ -13,7 +13,7 @@ func TestBeepGatherTwoRobots(t *testing.T) {
 		g := graph.FromFamily(fam, 7, rng)
 		sc := &Scenario{G: g, IDs: []int{5, 12}, Positions: []int{0, g.N() - 1}}
 		sc.Certify()
-		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestBeepGatherCoLocatedStart(t *testing.T) {
 	g := graph.Cycle(5)
 	sc := &Scenario{G: g, IDs: []int{3, 7}, Positions: []int{2, 2}}
 	sc.Certify()
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(5) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(5)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBeepGatherSingleRobot(t *testing.T) {
 	g := graph.FromFamily(graph.FamTree, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{9}, Positions: []int{3}}
 	sc.Certify()
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestBeepGatherEqualLengthIDs(t *testing.T) {
 	g := graph.FromFamily(graph.FamCycle, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{12, 13}, Positions: []int{0, 3}}
 	sc.Certify()
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestBeepGatherWithinBound(t *testing.T) {
 	sc := &Scenario{G: g, IDs: []int{2, 3}, Positions: []int{0, 4}}
 	sc.Certify()
 	bound := sc.Cfg.UXSGatherBound(6)
-	res, err := sc.RunBeep(bound + 2)
+	res, err := sc.Run("beep", 0, bound+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBeepGatherWithinBound(t *testing.T) {
 func TestBeepGatherRejectsThreeRobots(t *testing.T) {
 	g := graph.Path(4)
 	sc := &Scenario{G: g, IDs: []int{1, 2, 3}, Positions: []int{0, 1, 2}}
-	if _, err := sc.RunBeep(100); !errors.Is(err, errTooManyForBeep) {
+	if _, err := sc.Run("beep", 0, 100); !errors.Is(err, errTooManyForBeep) {
 		t.Errorf("err = %v, want errTooManyForBeep", err)
 	}
 }

@@ -64,13 +64,13 @@ func runGolden(t *testing.T, sc *Scenario, algo string) sim.Result {
 	)
 	switch algo {
 	case "faster":
-		res, err = sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+		res, err = sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
 	case "uxs":
-		res, err = sc.RunUXS(sc.Cfg.UXSGatherBound(n) + 2)
+		res, err = sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(n)+2)
 	case "undispersed":
-		res, err = sc.RunUndispersed(R(n) + 2)
+		res, err = sc.Run("undispersed", 0, R(n)+2)
 	case "hopmeet":
-		res, err = sc.RunHopMeet(2, sc.Cfg.HopDuration(2, n)+2)
+		res, err = sc.Run("hopmeet", 2, sc.Cfg.HopDuration(2, n)+2)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", algo, err)
@@ -102,7 +102,7 @@ func TestSchedulerRunsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Sched = sched
-		res, err := sc.RunDessmark(4 * (sc.Cfg.FasterBound(g.N()) + 10))
+		res, err := sc.Run("dessmark", 0, 4*(sc.Cfg.FasterBound(g.N())+10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,19 +135,19 @@ func buildGoldenWorldIn(t *testing.T, sc *Scenario, algo string, a *Arena) (*sim
 	)
 	switch algo {
 	case "faster":
-		w, err = sc.NewFasterWorldIn(a)
+		w, err = sc.NewWorldIn(a, "faster", 0)
 		cap = sc.Cfg.FasterBound(n) + 10
 	case "uxs":
-		w, err = sc.NewUXSWorldIn(a)
+		w, err = sc.NewWorldIn(a, "uxs", 0)
 		cap = sc.Cfg.UXSGatherBound(n) + 2
 	case "undispersed":
-		w, err = sc.NewUndispersedWorldIn(a)
+		w, err = sc.NewWorldIn(a, "undispersed", 0)
 		cap = R(n) + 2
 	case "hopmeet":
-		w, err = sc.NewHopMeetWorldIn(a, 2)
+		w, err = sc.NewWorldIn(a, "hopmeet", 2)
 		cap = sc.Cfg.HopDuration(2, n) + 2
 	case "dessmark":
-		w, err = sc.NewDessmarkWorldIn(a)
+		w, err = sc.NewWorldIn(a, "dessmark", 0)
 		cap = 4 * (sc.Cfg.FasterBound(n) + 10)
 	default:
 		t.Fatalf("unknown algorithm %q", algo)

@@ -28,7 +28,7 @@ func TestFaithfulUXSGatherTinyN(t *testing.T) {
 		if T < want {
 			t.Fatalf("n=%d: faithful T=%d below n^5=%d", g.N(), T, want)
 		}
-		res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestFaithfulFasterTinyN(t *testing.T) {
 		Cfg:       Config{UXSMode: uxs.Faithful},
 	}
 	cap := 3*R(4) + sc.Cfg.HopDuration(1, 4) + sc.Cfg.HopDuration(2, 4) + 5
-	res, err := sc.RunFaster(cap)
+	res, err := sc.Run("faster", 0, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFaithfulBeepTinyN(t *testing.T) {
 		Positions: []int{0, 2},
 		Cfg:       Config{UXSMode: uxs.Faithful},
 	}
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(4) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(4)+2)
 	if err != nil {
 		t.Fatal(err)
 	}

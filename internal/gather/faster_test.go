@@ -10,7 +10,7 @@ import (
 func runFaster(t *testing.T, sc *Scenario) (res resWrap) {
 	t.Helper()
 	sc.Certify()
-	r, err := sc.RunFaster(sc.Cfg.FasterBound(sc.G.N()) + 10)
+	r, err := sc.Run("faster", 0, sc.Cfg.FasterBound(sc.G.N())+10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,14 @@ func TestAllAlgorithmsUnderInvariants(t *testing.T) {
 
 		runs := []struct {
 			algo string
-			mk   func() (*sim.World, error)
 			cap  int
 		}{
-			{"faster", sc.NewFasterWorld, sc.Cfg.FasterBound(n) + 10},
-			{"uxs", sc.NewUXSWorld, sc.Cfg.UXSGatherBound(n) + 2},
-			{"undispersed", sc.NewUndispersedWorld, R(n) + 2},
+			{"faster", sc.Cfg.FasterBound(n) + 10},
+			{"uxs", sc.Cfg.UXSGatherBound(n) + 2},
+			{"undispersed", R(n) + 2},
 		}
 		for _, run := range runs {
-			w, err := run.mk()
+			w, err := sc.NewWorld(run.algo, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, run.algo, err)
 			}
@@ -82,7 +81,7 @@ func TestExoticFamiliesGatherWithDetection(t *testing.T) {
 		}
 		sc := &Scenario{G: tc.g, IDs: []int{4, 9}, Positions: []int{u, v}}
 		sc.Certify()
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(tc.g.N()) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(tc.g.N())+10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +104,7 @@ func TestSoakLargeUndispersed(t *testing.T) {
 	ids := AssignIDs(k, g.N(), rng)
 	pos := place.Clustered(g, k, k/2, rng)
 	sc := &Scenario{G: g, IDs: ids, Positions: pos}
-	w, err := sc.NewUndispersedWorld()
+	w, err := sc.NewWorld("undispersed", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

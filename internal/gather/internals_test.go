@@ -199,7 +199,7 @@ func TestUndispersedPropertyQuick(t *testing.T) {
 			pos[i] = rng.Intn(n)
 		}
 		sc := &Scenario{G: g, IDs: ids, Positions: pos}
-		res, err := sc.RunUndispersed(R(n) + 2)
+		res, err := sc.Run("undispersed", 0, R(n)+2)
 		return err == nil && res.DetectionCorrect && res.Rounds <= R(n)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -219,7 +219,7 @@ func TestDeterministicReplay(t *testing.T) {
 			Positions: []int{0, 0, 3, 5, 7},
 		}
 		sc.Certify()
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(g.N())+10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestLemma1WaiterMetIffLongerID(t *testing.T) {
 	sc := &Scenario{G: g, IDs: []int{1, 8}, Positions: []int{0, 3}}
 	sc.Certify()
 	T := sc.Cfg.UXSLength(g.N())
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLemma1WaiterMetIffLongerID(t *testing.T) {
 	// have happened earlier, during the first differing-bit phase.
 	scB := &Scenario{G: g, IDs: []int{10, 12}, Positions: []int{0, 3}} // 1010 vs 1100
 	scB.Cfg = sc.Cfg
-	resB, err := scB.RunUXS(scB.Cfg.UXSGatherBound(g.N()) + 2)
+	resB, err := scB.Run("uxs", 0, scB.Cfg.UXSGatherBound(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLemma2NoPrematureTermination(t *testing.T) {
 		k := 2 + trial%3
 		sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: place.Random(g, k, rng)}
 		sc.Certify()
-		w, err := sc.NewUXSWorld()
+		w, err := sc.NewWorld("uxs", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestLemma7IncludingWaiterAtHome(t *testing.T) {
 		IDs:       []int{2, 9, 5, 7, 11},
 		Positions: []int{4, 4, 0, 2, 6},
 	}
-	res, err := sc.RunUndispersed(R(7) + 2)
+	res, err := sc.Run("undispersed", 0, R(7)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLemma11AlonenessIsUnanimous(t *testing.T) {
 			pos[1] = pos[0] // guarantee one co-located pair
 		}
 		sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: pos}
-		res, err := sc.RunUndispersed(R(n) + 2)
+		res, err := sc.Run("undispersed", 0, R(n)+2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ type Scenario struct {
 	Positions []int
 	Cfg       Config
 	// Sched, when non-nil, is installed on every world the scenario
-	// builds (all Run*/New*World paths honor it); nil keeps the paper's
-	// fully-synchronous model. Schedulers carry per-run state, so a
+	// builds (Run, NewWorld and NewWorldIn all honor it); nil keeps the
+	// paper's fully-synchronous model. Schedulers carry per-run state, so a
 	// Scenario with a stateful Sched (SemiSync, Adversarial) builds one
 	// world per scheduler instance: parallel sweeps derive a per-job copy
 	// via WithScheduler instead of sharing one stateful scheduler.
@@ -107,127 +107,23 @@ func (s *Scenario) MinPairDistance() int {
 	return best
 }
 
-// newWorld builds a simulator world from per-robot agents.
-func (s *Scenario) newWorld(mk func(id int) sim.Agent) (*sim.World, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	agents := make([]sim.Agent, len(s.IDs))
-	for i, id := range s.IDs {
-		agents[i] = mk(id)
-	}
-	w, err := sim.NewWorld(s.G, agents, s.Positions)
-	if err != nil {
-		return nil, err
-	}
-	if s.Sched != nil {
-		w.SetScheduler(s.Sched)
-	}
-	return w, nil
+// NewWorld returns a simulator world loaded with the named algorithm's
+// robots (faster, uxs, undispersed, hopmeet, dessmark or beep; radius is
+// the hopmeet radius and ignored elsewhere), for callers that step, trace
+// or inspect the run themselves. NewWorldIn is its pooled form.
+func (s *Scenario) NewWorld(algo string, radius int) (*sim.World, error) {
+	return s.NewWorldIn(nil, algo, radius)
 }
 
-// RunFaster executes the complete Faster-Gathering algorithm (Theorems 12
-// and 16) and returns the run summary. maxRounds caps the simulation.
-func (s *Scenario) RunFaster(maxRounds int) (sim.Result, error) {
-	w, err := s.NewFasterWorld()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// NewFasterWorld returns a simulator world loaded with Faster-Gathering
-// robots, for callers that want to step, trace or inspect the run
-// manually (see the maze example).
-func (s *Scenario) NewFasterWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewFasterAgent(s.Cfg, s.G.N(), id) })
-}
-
-// NewUXSWorld returns a simulator world loaded with §2.1 UXS-gathering
-// robots, for fault- and delay-injection experiments.
-func (s *Scenario) NewUXSWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewUXSGAgent(s.Cfg, s.G.N(), id) })
-}
-
-// NewFasterWorldDelayed is NewFasterWorld with per-robot wake rounds
-// (wakes[i] delays s.IDs[i]); it models the startup-delay setting the
-// paper leaves as future work. wakes must match the robot count.
-func (s *Scenario) NewFasterWorldDelayed(wakes []int) (*sim.World, error) {
-	if len(wakes) != len(s.IDs) {
-		return nil, fmt.Errorf("gather: %d wakes for %d robots", len(wakes), len(s.IDs))
-	}
-	i := -1
-	return s.newWorld(func(id int) sim.Agent {
-		i++
-		return sim.Delayed(NewFasterAgent(s.Cfg, s.G.N(), id), wakes[i])
-	})
-}
-
-// NewUXSWorldDelayed is NewUXSWorld with per-robot wake rounds.
-func (s *Scenario) NewUXSWorldDelayed(wakes []int) (*sim.World, error) {
-	if len(wakes) != len(s.IDs) {
-		return nil, fmt.Errorf("gather: %d wakes for %d robots", len(wakes), len(s.IDs))
-	}
-	i := -1
-	return s.newWorld(func(id int) sim.Agent {
-		i++
-		return sim.Delayed(NewUXSGAgent(s.Cfg, s.G.N(), id), wakes[i])
-	})
-}
-
-// NewUndispersedWorld returns a world loaded with standalone
-// Undispersed-Gathering robots.
-func (s *Scenario) NewUndispersedWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewUGAgent(s.G.N(), id) })
-}
-
-// NewHopMeetWorld returns a world loaded with standalone i-Hop-Meeting
-// robots of the given radius.
-func (s *Scenario) NewHopMeetWorld(radius int) (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewHopMeetAgent(s.Cfg, radius, s.G.N(), id) })
-}
-
-// NewDessmarkWorld returns a world loaded with the iterated-deepening
-// baseline robots.
-func (s *Scenario) NewDessmarkWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewDessmarkAgent(s.Cfg, s.G.N(), id) })
-}
-
-// RunUXS executes the §2.1 UXS gathering-with-detection algorithm
-// (Theorem 6). It doubles as the gathering-without-detection baseline via
-// Result.FirstGatherRound.
-func (s *Scenario) RunUXS(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewUXSGAgent(s.Cfg, s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunUndispersed executes standalone Undispersed-Gathering (Theorem 8);
-// the initial configuration must be undispersed for its guarantee.
-func (s *Scenario) RunUndispersed(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewUGAgent(s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunHopMeet executes the standalone i-Hop-Meeting procedure (Lemmas 9 and
-// 10) with the given radius; Result.FirstMeetRound reports when an
-// undispersed configuration was reached.
-func (s *Scenario) RunHopMeet(radius, maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewHopMeetAgent(s.Cfg, radius, s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunDessmark executes the iterated-deepening baseline [17].
-func (s *Scenario) RunDessmark(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewDessmarkAgent(s.Cfg, s.G.N(), id) })
+// Run executes the named algorithm for at most maxRounds rounds and returns
+// the run summary: faster is Faster-Gathering (Theorems 12 and 16), uxs the
+// §2.1 UXS gathering (Theorem 6, and via Result.FirstGatherRound the
+// gathering-without-detection baseline), undispersed Theorem 8's
+// Undispersed-Gathering, hopmeet the standalone i-Hop-Meeting of Lemmas 9
+// and 10, dessmark the iterated-deepening baseline [17] and beep the
+// two-robot beeping-model algorithm [21].
+func (s *Scenario) Run(algo string, radius, maxRounds int) (sim.Result, error) {
+	w, err := s.NewWorld(algo, radius)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -65,19 +65,19 @@ func TestScenarioCertifySetsLength(t *testing.T) {
 
 func TestRunnersRejectInvalidScenario(t *testing.T) {
 	sc := &Scenario{G: graph.Path(3), IDs: []int{1, 1}, Positions: []int{0, 1}}
-	if _, err := sc.RunFaster(10); err == nil {
-		t.Error("RunFaster accepted duplicate IDs")
+	if _, err := sc.Run("faster", 0, 10); err == nil {
+		t.Error("Run(faster) accepted duplicate IDs")
 	}
-	if _, err := sc.RunUXS(10); err == nil {
-		t.Error("RunUXS accepted duplicate IDs")
+	if _, err := sc.Run("uxs", 0, 10); err == nil {
+		t.Error("Run(uxs) accepted duplicate IDs")
 	}
-	if _, err := sc.RunUndispersed(10); err == nil {
-		t.Error("RunUndispersed accepted duplicate IDs")
+	if _, err := sc.Run("undispersed", 0, 10); err == nil {
+		t.Error("Run(undispersed) accepted duplicate IDs")
 	}
-	if _, err := sc.RunHopMeet(1, 10); err == nil {
-		t.Error("RunHopMeet accepted duplicate IDs")
+	if _, err := sc.Run("hopmeet", 1, 10); err == nil {
+		t.Error("Run(hopmeet) accepted duplicate IDs")
 	}
-	if _, err := sc.RunDessmark(10); err == nil {
-		t.Error("RunDessmark accepted duplicate IDs")
+	if _, err := sc.Run("dessmark", 0, 10); err == nil {
+		t.Error("Run(dessmark) accepted duplicate IDs")
 	}
 }

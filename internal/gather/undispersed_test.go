@@ -28,7 +28,7 @@ func TestUndispersedGathersOnFamilies(t *testing.T) {
 			g := graph.FromFamily(fam, n, rng)
 			k := max(2, g.N()/2)
 			sc := undispersedScenario(g, k, rng)
-			res, err := sc.RunUndispersed(R(g.N()) + 2)
+			res, err := sc.Run("undispersed", 0, R(g.N())+2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,7 @@ func TestUndispersedGathersAtMinGroupHome(t *testing.T) {
 	}
 	// Groups: node 3 holds {4,9} (finder 4), node 6 holds {2,7} (finder 2),
 	// node 1 holds waiter 5. Minimum groupid is 2, home node 6.
-	res, err := sc.RunUndispersed(R(8) + 2)
+	res, err := sc.Run("undispersed", 0, R(8)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestUndispersedAllOnOneNode(t *testing.T) {
 	// Fully gathered start: must stay gathered and detect.
 	g := graph.Grid(3, 3)
 	sc := &Scenario{G: g, IDs: []int{3, 1, 8}, Positions: []int{4, 4, 4}}
-	res, err := sc.RunUndispersed(R(9) + 2)
+	res, err := sc.Run("undispersed", 0, R(9)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestUndispersedManyGroups(t *testing.T) {
 	ids := AssignIDs(9, n, rng)
 	pos := []int{0, 0, 0, 5, 5, 9, 9, 2, 7}
 	sc := &Scenario{G: g, IDs: ids, Positions: pos}
-	res, err := sc.RunUndispersed(R(n) + 2)
+	res, err := sc.Run("undispersed", 0, R(n)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestUndispersedDispersedStaysPut(t *testing.T) {
 	// claims gathering (verdict false at termination).
 	g := graph.Path(6)
 	sc := &Scenario{G: g, IDs: []int{5, 3}, Positions: []int{0, 5}}
-	res, err := sc.RunUndispersed(R(6) + 2)
+	res, err := sc.Run("undispersed", 0, R(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestUndispersedPairOnly(t *testing.T) {
 		g := graph.FromFamily(graph.FamTree, n, rng)
 		node := rng.Intn(g.N())
 		sc := &Scenario{G: g, IDs: []int{2, 9}, Positions: []int{node, node}}
-		res, err := sc.RunUndispersed(R(g.N()) + 2)
+		res, err := sc.Run("undispersed", 0, R(g.N())+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestUndispersedTotalMovesBounded(t *testing.T) {
 	rng := graph.NewRNG(11)
 	g := graph.FromFamily(graph.FamGrid, 9, rng)
 	sc := undispersedScenario(g, 5, rng)
-	res, err := sc.RunUndispersed(R(g.N()) + 2)
+	res, err := sc.Run("undispersed", 0, R(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}

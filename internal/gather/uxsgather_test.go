@@ -18,7 +18,7 @@ func TestUXSGatherTwoRobots(t *testing.T) {
 	for _, fam := range []graph.Family{graph.FamPath, graph.FamCycle, graph.FamRandom} {
 		g := graph.FromFamily(fam, 6, rng)
 		sc := uxsScenario(g, []int{3, 5}, []int{0, g.N() - 1})
-		res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestUXSGatherManyRobotsDispersed(t *testing.T) {
 	ids := AssignIDs(k, n, rng)
 	pos := rng.Perm(n)[:k]
 	sc := uxsScenario(g, ids, pos)
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(n) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(n)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestUXSGatherGroupsMerge(t *testing.T) {
 	rng := graph.NewRNG(41)
 	g := graph.FromFamily(graph.FamCycle, 7, rng)
 	sc := uxsScenario(g, []int{2, 9, 4, 11}, []int{0, 0, 3, 3})
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(7) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(7)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestUXSGatherSingleRobotTerminates(t *testing.T) {
 	rng := graph.NewRNG(51)
 	g := graph.FromFamily(graph.FamPath, 5, rng)
 	sc := uxsScenario(g, []int{6}, []int{2})
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(5) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(5)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestUXSGatherDetectAfterGather(t *testing.T) {
 	rng := graph.NewRNG(61)
 	g := graph.FromFamily(graph.FamTree, 8, rng)
 	sc := uxsScenario(g, []int{3, 12, 7}, []int{0, 3, 6})
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestUXSGatherRespectsTheoremBound(t *testing.T) {
 	g := graph.FromFamily(graph.FamRandom, 7, rng)
 	sc := uxsScenario(g, []int{5, 9}, []int{0, 4})
 	bound := sc.Cfg.UXSGatherBound(g.N())
-	res, err := sc.RunUXS(bound + 2)
+	res, err := sc.Run("uxs", 0, bound+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestUXSGatherAdversarialIDLengths(t *testing.T) {
 	rng := graph.NewRNG(81)
 	g := graph.FromFamily(graph.FamCycle, 6, rng)
 	sc := uxsScenario(g, []int{1, MaxID(6)}, []int{0, 3})
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestUXSGatherEqualLengthIDs(t *testing.T) {
 	rng := graph.NewRNG(91)
 	g := graph.FromFamily(graph.FamPath, 6, rng)
 	sc := uxsScenario(g, []int{12, 13}, []int{0, 5}) // 1100 vs 1101
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/runner"
 	"repro/internal/serve"
-	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -197,61 +195,17 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 	jobs := make([]runner.Job, len(fresh))
 	for i, s := range fresh {
 		scSeed := s
-		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := candidateScenario(cfg, scSeed)
-				if err != nil {
-					return nil, 0, err
-				}
-				w, cap, err := serve.BuildWorld(sc, cfg.Algo, cfg.Radius, gather.ArenaOf(state))
-				if err != nil {
-					return nil, 0, err
-				}
-				if cfg.MaxRounds > 0 {
-					cap = cfg.MaxRounds
-				}
-				plan := cfg.Faults.Plan(cfg.K, cap, scSeed^gather.FaultSeedSalt)
-				if err := fault.Apply(w, sc.IDs, plan); err != nil {
-					return nil, 0, err
-				}
-				if cfg.Churn > 0 {
-					// Churn is part of the searched schedule: each candidate
-					// draws its own overlay stream (unlike a sweep, where one
-					// overlay is shared per instance), so overlays here are
-					// per-run and the scalar path evaluates them.
-					if err := w.SetOverlay(graph.NewOverlay(sc.G, cfg.Churn, scSeed^gather.ChurnSeedSalt)); err != nil {
-						return nil, 0, err
-					}
-				}
-				return w, cap, nil
-			}}
-		if cfg.Churn == 0 {
-			// Placement, activation and fault schedules are all per-lane
-			// state, so candidates batch; per-candidate overlays would
-			// force one-lane batches, hence the scalar fallback above.
-			jobs[i].Lane = func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := candidateScenario(cfg, scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(cfg.Algo, cfg.Radius)
-				if err != nil {
-					return err
-				}
-				if cfg.MaxRounds > 0 {
-					cap = cfg.MaxRounds
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), cfg.Algo, cfg.Radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				return fault.ApplyLane(e, lane, sc.IDs, cfg.Faults.Plan(cfg.K, cap, scSeed^gather.FaultSeedSalt))
-			}
-		}
+		jobs[i] = serve.Run{
+			Scenario: func() (*gather.Scenario, error) {
+				return serve.RowScenario(cfg.G, cfg.Cfg, cfg.Placement, cfg.K, cfg.Sched, scSeed)
+			},
+			Algo: cfg.Algo, Radius: cfg.Radius, MaxRounds: cfg.MaxRounds,
+			Faults: cfg.Faults, FaultSeed: scSeed ^ gather.FaultSeedSalt,
+			// Churn is part of the searched schedule: each candidate draws
+			// its own overlay stream (unlike a sweep, where one overlay is
+			// shared per instance), so churned candidates run scalar.
+			Churn: cfg.Churn, ChurnSeed: scSeed ^ gather.ChurnSeedSalt, ChurnPerRun: true,
+		}.Job(scSeed)
 	}
 
 	r := runner.New(cfg.Parallelism).WithWorkerState(func(int) any { return gather.NewSweepState() })
@@ -275,20 +229,4 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 		seen[s] = Candidate{Seed: s, Rounds: jr.Res.Rounds, Moves: jr.Res.TotalMoves}
 	}
 	return nil
-}
-
-// candidateScenario derives one candidate's scenario from its seed
-// exactly like a sweep row: IDs, placement and scheduler all from the
-// seed's stream, the frozen graph and certification shared.
-func candidateScenario(cfg Config, scSeed uint64) (*gather.Scenario, error) {
-	rng := graph.NewRNG(scSeed)
-	pos, err := serve.PlaceRobots(cfg.G, cfg.Placement, cfg.K, rng)
-	if err != nil {
-		return nil, err
-	}
-	sc := &gather.Scenario{G: cfg.G, IDs: gather.AssignIDs(cfg.K, cfg.G.N(), rng), Positions: pos, Cfg: cfg.Cfg}
-	if sc.Sched, err = serve.BuildSched(cfg.Sched, scSeed); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/sim/batch"
 )
 
-// dualJobs builds a sweep whose jobs carry both the scalar path (BuildIn)
+// dualJobs builds a sweep whose jobs carry both the scalar path (Build)
 // and the lockstep path (Lane) over one shared frozen instance, so Run
 // and RunBatched can be diffed on identical work. Scenario state is built
 // before submission from the instance seed; only the scheduler varies per
@@ -37,12 +37,12 @@ func dualJobs(t *testing.T, count int, algo, sched string) []Job {
 	for i := 0; i < count; i++ {
 		jobs[i] = Job{
 			Meta: i,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			Build: func(seed uint64, state any) (*sim.World, int, error) {
 				s, err := sim.ParseScheduler(sched, seed^0xABCD)
 				if err != nil {
 					return nil, 0, err
 				}
-				w, err := sc.WithScheduler(s).NewAlgoWorldIn(gather.ArenaOf(state), algo, 0)
+				w, err := sc.WithScheduler(s).NewWorldIn(gather.ArenaOf(state), algo, 0)
 				return w, cap, err
 			},
 			Lane: func(seed uint64, state any, e *batch.Engine) error {
@@ -129,8 +129,8 @@ func TestRunBatchedMixedGraphs(t *testing.T) {
 			sc, cap = scB, capB
 		}
 		jobs[i] = Job{
-			Build: func(seed uint64) (*sim.World, int, error) {
-				w, err := sc.NewDessmarkWorld()
+			Build: func(seed uint64, _ any) (*sim.World, int, error) {
+				w, err := sc.NewWorld("dessmark", 0)
 				return w, cap, err
 			},
 			Lane: func(seed uint64, state any, e *batch.Engine) error {
@@ -164,8 +164,8 @@ func TestRunBatchedFallbackAndSkip(t *testing.T) {
 	lane := dualJobs(t, 1, "dessmark", "full")[0]
 	jobs := []Job{
 		lane,
-		{Build: func(seed uint64) (*sim.World, int, error) { return nil, 0, nil }}, // scalar skip
-		{Lane: func(seed uint64, state any, e *batch.Engine) error { return nil }}, // batched skip
+		{Build: func(seed uint64, _ any) (*sim.World, int, error) { return nil, 0, nil }}, // scalar skip
+		{Lane: func(seed uint64, state any, e *batch.Engine) error { return nil }},        // batched skip
 		lane,
 		{Lane: func(seed uint64, state any, e *batch.Engine) error {
 			return fmt.Errorf("lane build failed")
@@ -198,7 +198,7 @@ func TestRunBatchedPanicParity(t *testing.T) {
 	good := dualJobs(t, 1, "dessmark", "semi:0.7")[0]
 	g := graph.Path(4)
 	boom := Job{
-		Build: func(seed uint64) (*sim.World, int, error) {
+		Build: func(seed uint64, _ any) (*sim.World, int, error) {
 			w, err := sim.NewWorld(g, []sim.Agent{&bomb{sim.NewBase(1)}}, []int{0})
 			return w, 10, err
 		},

@@ -31,7 +31,7 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	cancel()
 	jobs := make([]Job, 5)
 	for i := range jobs {
-		jobs[i] = Job{Build: func(uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(uint64, any) (*sim.World, int, error) {
 			t.Error("canceled batch executed a job")
 			return nil, 0, nil
 		}}
@@ -52,12 +52,12 @@ func TestRunCtxPreCanceled(t *testing.T) {
 func TestRunCtxMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	jobs := make([]Job, 4)
-	jobs[0] = Job{Build: func(uint64) (*sim.World, int, error) {
+	jobs[0] = Job{Build: func(uint64, any) (*sim.World, int, error) {
 		cancel() // the batch's caller gives up while job 0 executes
 		return nil, 0, nil
 	}}
 	for i := 1; i < len(jobs); i++ {
-		jobs[i] = Job{Build: func(uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(uint64, any) (*sim.World, int, error) {
 			t.Error("job after cancellation executed")
 			return nil, 0, nil
 		}}

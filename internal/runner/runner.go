@@ -15,8 +15,8 @@
 // Scenario.WithScheduler, a per-run scheduler — inside Build.
 //
 // For zero-rebuild sweeps, WithWorkerState gives every worker a
-// long-lived value (typically a gather.Arena) that Job.BuildIn receives
-// alongside the seed, so even the per-run world is reused — rewound with
+// long-lived value (typically a gather.SweepState) that Job.Build and
+// Job.Lane receive alongside the seed, so even the per-run world is reused — rewound with
 // World.Reset — instead of reconstructed. Worker state is an allocation
 // pool only: results must never depend on it.
 package runner
@@ -34,27 +34,23 @@ import (
 	"repro/internal/sim/batch"
 )
 
-// Job is one unit of work: Build constructs a simulator world and its
-// round cap from the job's deterministic seed; the runner then executes
-// World.Run(cap). Build runs on a worker goroutine, so any randomness it
-// needs must come from the seed argument and any captured state must be
-// read-only or owned by this job alone.
-//
-// Build may return a nil world (with a nil error) for a pure-compute or
-// skipped job: the runner records a zero Result and moves on, which lets
-// sweep loops keep one code path for iterations that have nothing to
-// simulate (e.g. no node pair at the requested distance).
+// Job is one unit of work with two loaders, one per engine: Build loads
+// a scalar simulator world and its round cap, which the runner then
+// executes with World.Run(cap); Lane loads the same run as one lane of a
+// lockstep batch engine. Both run on a worker goroutine and receive the
+// job's deterministic seed and the worker's long-lived state (see
+// Runner.WithWorkerState; nil on a runner without it) — typically a
+// pooled simulation arena the job builds in instead of allocating afresh.
+// Any randomness must come from the seed, captured data must be read-only
+// or owned by this job alone, and the state is a pure allocation pool:
+// which jobs share a state instance depends on scheduling, so a job's
+// RESULT must never depend on what earlier jobs left in it.
 type Job struct {
-	Build func(seed uint64) (*sim.World, int, error)
-	// BuildIn, when non-nil, takes precedence over Build and additionally
-	// receives the executing worker's long-lived state (see
-	// Runner.WithWorkerState) — typically a pooled simulation arena the
-	// job builds its world *in* instead of allocating a fresh one. The
-	// state a job observes depends on scheduling, so it must be a pure
-	// allocation pool: the job's RESULT must be a function of its seed and
-	// captured read-only data alone, never of what previous jobs left in
-	// the state. On a runner without worker state, BuildIn receives nil.
-	BuildIn func(seed uint64, state any) (*sim.World, int, error)
+	// Build may return a nil world (with a nil error) for a pure-compute
+	// or skipped job: the runner records a zero Result and moves on,
+	// which lets sweep loops keep one code path for iterations that have
+	// nothing to simulate (e.g. no node pair at the requested distance).
+	Build func(seed uint64, state any) (*sim.World, int, error)
 	// Stop, when non-nil, is an extra termination predicate checked
 	// between rounds: the run ends as soon as it returns true, before
 	// the cap and before all agents terminate. Sweeps over agents that
@@ -63,16 +59,14 @@ type Job struct {
 	// the same goroutine, so Stop may read state Build created.
 	Stop func(w *sim.World) bool
 	// Lane, when non-nil, makes the job batchable: under Runner.RunBatched
-	// the job loads its world as one lane of the executing worker's
-	// lockstep batch engine (batch.Engine.AddLane) instead of building a
-	// scalar world. The same determinism rules as BuildIn apply — seed and
-	// captured read-only data decide the result, worker state is an
-	// allocation pool — and the round cap and scheduler are passed to
-	// AddLane, so the lane runs exactly the rounds the scalar path would.
-	// Adding no lane and returning nil marks the job skipped, mirroring a
-	// nil world from Build. Jobs that need a Stop predicate must leave
-	// Lane nil (lanes stop on their cap or termination alone). Run ignores
-	// Lane; RunBatched falls back to the scalar path for jobs without it.
+	// the job loads its run into the executing worker's lockstep batch
+	// engine (batch.Engine.AddLane, with the round cap and scheduler Build
+	// would use, so the lane runs exactly the rounds the scalar world
+	// would). Adding no lane and returning nil marks the job skipped,
+	// mirroring a nil world from Build. Jobs that need a Stop predicate
+	// must leave Lane nil (lanes stop on their cap or termination alone).
+	// Run ignores Lane and requires Build; RunBatched falls back to Build
+	// for jobs without a Lane.
 	Lane func(seed uint64, state any, e *batch.Engine) error
 	Meta any // caller-owned context, echoed back on the JobResult
 }
@@ -86,6 +80,10 @@ type JobResult struct {
 	Err     error
 	Stack   string // goroutine stack captured when the job panicked
 	Skipped bool   // Build returned no world: nothing was simulated
+	// Elapsed is the job's wall time under Run. Under RunBatched a lane
+	// has no wall time of its own: Elapsed is its lockstep group's wall
+	// time split evenly, meaningful only summed (Stats.Work), never per
+	// job.
 	Elapsed time.Duration
 }
 
@@ -125,12 +123,12 @@ func (r *Runner) Workers() int { return r.workers }
 
 // WithWorkerState installs a per-worker state initializer and returns the
 // runner for chaining. Each worker goroutine of each Run calls init once
-// (with its worker index) and hands the value to every Job.BuildIn it
+// (with its worker index) and hands the value to every Job loader it
 // executes, so jobs can reuse worker-owned allocations — a pooled World
 // and agent arena — instead of rebuilding them per job. The state is only
 // ever touched by its own worker, so init needs no synchronization; which
 // jobs share a state instance depends on scheduling, which is exactly why
-// state must never influence results (see Job.BuildIn).
+// state must never influence results (see Job).
 func (r *Runner) WithWorkerState(init func(worker int) any) *Runner {
 	r.state = init
 	return r
@@ -262,19 +260,7 @@ func runOne(base uint64, i int, j Job, state any) JobResult {
 				out.Stack = string(debug.Stack())
 			}
 		}()
-		var (
-			w   *sim.World
-			cap int
-			err error
-		)
-		switch {
-		case j.BuildIn != nil:
-			w, cap, err = j.BuildIn(out.Seed, state)
-		case j.Build != nil:
-			w, cap, err = j.Build(out.Seed)
-		default:
-			err = fmt.Errorf("runner: job %d has neither Build nor BuildIn", i)
-		}
+		w, cap, err := j.Build(out.Seed, state)
 		switch {
 		case err != nil:
 			out.Err = err

@@ -21,7 +21,7 @@ func gatherJobs(count int) []Job {
 		n := 8 + 2*(i%3)
 		jobs[i] = Job{
 			Meta: n,
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, _ any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.Cycle(n)
 				g = g.WithPermutedPorts(rng)
@@ -32,7 +32,7 @@ func gatherJobs(count int) []Job {
 					Positions: place.MaxMinDispersed(g, k, rng),
 				}
 				sc.Certify()
-				w, err := sc.NewFasterWorld()
+				w, err := sc.NewWorld("faster", 0)
 				return w, sc.Cfg.FasterBound(n) + 10, err
 			},
 		}
@@ -105,10 +105,10 @@ func TestJobSeedsDistinct(t *testing.T) {
 
 func TestErrorsAndSkipsRecordedPerJob(t *testing.T) {
 	jobs := []Job{
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 0") }},
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }}, // pure-compute skip
+		{Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 0") }},
+		{Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, nil }}, // pure-compute skip
 		gatherJobs(1)[0],
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 3") }},
+		{Build: func(uint64, any) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 3") }},
 	}
 	results, st := New(4).Run(1, jobs)
 	if results[0].Err == nil || results[3].Err == nil {
@@ -135,11 +135,11 @@ func TestErrorsAndSkipsRecordedPerJob(t *testing.T) {
 func sharedGraphJobs(sc *gather.Scenario, count int) []Job {
 	jobs := make([]Job, count)
 	for i := range jobs {
-		jobs[i] = Job{Build: func(seed uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(seed uint64, _ any) (*sim.World, int, error) {
 			jrng := graph.NewRNG(seed)
 			job := *sc // shallow copy: same frozen graph, per-job placement
 			job.Positions = place.MaxMinDispersed(sc.G, len(sc.IDs), jrng)
-			w, err := job.NewFasterWorld()
+			w, err := job.NewWorld("faster", 0)
 			return w, job.Cfg.FasterBound(sc.G.N()) + 10, err
 		}}
 	}
@@ -179,14 +179,14 @@ func TestSharedFrozenGraphAcrossWorkers(t *testing.T) {
 }
 
 // pooledGatherJobs is gatherJobs written against the pooled path: every
-// job builds its world in the executing worker's arena via BuildIn.
+// job builds its world in the executing worker's arena via Build's state.
 func pooledGatherJobs(count int) []Job {
 	jobs := make([]Job, count)
 	for i := 0; i < count; i++ {
 		n := 8 + 2*(i%3)
 		jobs[i] = Job{
 			Meta: n,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			Build: func(seed uint64, state any) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.Cycle(n)
 				g = g.WithPermutedPorts(rng)
@@ -197,7 +197,7 @@ func pooledGatherJobs(count int) []Job {
 					Positions: place.MaxMinDispersed(g, k, rng),
 				}
 				sc.Certify()
-				w, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
+				w, err := sc.NewWorldIn(gather.ArenaOf(state), "faster", 0)
 				return w, sc.Cfg.FasterBound(n) + 10, err
 			},
 		}
@@ -227,9 +227,9 @@ func TestPooledWorkerStateDeterminism(t *testing.T) {
 	}
 }
 
-// Worker-state plumbing: init runs once per worker, BuildIn receives that
-// worker's value on every job, and a job with neither Build nor BuildIn
-// is an error, not a panic.
+// Worker-state plumbing: init runs once per worker, Build receives that
+// worker's value on every job, and a job without a Build is that job's
+// error (a contained panic), not a crashed pool.
 func TestWorkerStatePlumbing(t *testing.T) {
 	var mu sync.Mutex
 	inits := map[int]int{}
@@ -241,7 +241,7 @@ func TestWorkerStatePlumbing(t *testing.T) {
 	})
 	jobs := make([]Job, 12)
 	for i := range jobs {
-		jobs[i] = Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(_ uint64, state any) (*sim.World, int, error) {
 			if _, ok := state.(*int); !ok {
 				return nil, 0, fmt.Errorf("job saw state %T, want *int", state)
 			}
@@ -273,7 +273,7 @@ func TestWorkerStatePlumbing(t *testing.T) {
 	}
 }
 
-// BuildIn without WithWorkerState receives nil state, which the pooled
+// Build without WithWorkerState receives nil state, which the pooled
 // scenario builders treat as fresh construction.
 func TestBuildInWithoutWorkerState(t *testing.T) {
 	results, _ := New(2).Run(3, pooledGatherJobs(4))
@@ -300,7 +300,7 @@ func TestCertifyCacheUnderConcurrentJobs(t *testing.T) {
 	jobs := make([]Job, 32)
 	for i := range jobs {
 		shared := i%2 == 0
-		jobs[i] = Job{Build: func(seed uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(seed uint64, _ any) (*sim.World, int, error) {
 			jrng := graph.NewRNG(seed)
 			gg := g
 			if !shared {
@@ -309,7 +309,7 @@ func TestCertifyCacheUnderConcurrentJobs(t *testing.T) {
 			sc := &gather.Scenario{G: gg, IDs: gather.AssignIDs(3, gg.N(), jrng),
 				Positions: place.Clustered(gg, 3, 1, jrng)}
 			sc.Certify() // shared jobs hammer one cache key concurrently
-			w, err := sc.NewUndispersedWorld()
+			w, err := sc.NewWorld("undispersed", 0)
 			return w, gather.R(gg.N()) + 2, err
 		}}
 	}

@@ -9,9 +9,6 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/sim/batch"
-	"repro/internal/sim/fault"
 )
 
 // ExecConfig sets the execution resources for one sweep. Both knobs are
@@ -69,134 +66,77 @@ type aggregateRow struct {
 	Moves     int64 `json:"moves"`
 }
 
-// ExecuteNDJSON runs the request's seed sweep and returns the complete
-// NDJSON response body: one header row, one row per seed in seed order,
-// one aggregate row. The sweep shape is exactly the gathersim -seeds
-// batch: ONE frozen graph (and its UXS certification) built from the base
-// seed and shared read-only by every job; each job draws its own IDs,
-// placement and scheduler from its row seed on a pooled per-worker arena.
-// gathersim -ndjson calls this same function, which is what makes service
-// and CLI output byte-identical by construction — and the conformance
-// suite pins it by diff, not by trust.
+// Sweep is an executed sweep request: the shared instance and one runner
+// result per seed, in seed order (JobResult.Meta is the row seed).
+type Sweep struct {
+	Graph   *graph.Graph
+	Results []runner.JobResult
+	Stats   runner.Stats
+	Workers int // the runner's pool size
+}
+
+// ExecuteSweep runs the request's seed sweep. The sweep shape is ONE
+// frozen graph (and its UXS certification) built from the base seed and
+// shared read-only by every job; each job draws its own IDs, placement
+// and scheduler from its row seed (RowScenario) and loads through a Run
+// description on pooled per-worker state. gathersim -seeds and -ndjson and
+// sweepd all execute through here and differ only in rendering, which is
+// what makes service and CLI output byte-identical by construction — and
+// the conformance suite pins it by diff, not by trust.
 //
-// The body is materialized before it is returned: a response either
-// exists in full or not at all, so cached replays are byte-identical and
-// a client never sees a truncated stream. A canceled ctx aborts between
-// job groups (runner.RunBatchedCtx) and surfaces as ctx's error with no
-// partial body. Errors other than contained per-seed crashes — which
-// render as crash rows — fail the whole request, exactly like the CLI.
-func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]byte, error) {
+// A canceled ctx aborts between job groups (runner.RunBatchedCtx) and
+// surfaces as ctx's error with no partial result. Per-seed errors stay on
+// their JobResults for the renderer to judge.
+func ExecuteSweep(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*Sweep, error) {
 	g, err := req.wl.Build(graph.NewRNG(req.Seed))
 	if err != nil {
 		return nil, err
 	}
 	shared := &gather.Scenario{G: g}
 	CertifyScenario(shared)
-	sharedCfg := shared.Cfg
-
-	// buildJobScenario derives one row's scenario identically on the
-	// scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph and certification shared.
-	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
-		rng := graph.NewRNG(scSeed)
-		pos, err := PlaceRobots(g, req.Placement, req.K, rng)
-		if err != nil {
-			return nil, err
-		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos, Cfg: sharedCfg}
-		if sc.Sched, err = BuildSched(req.Sched, scSeed); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
-
-	// overlayFor fetches the request's churn overlay from the worker's
-	// pool (fresh when the runner carries no pool). Churn is per-instance:
-	// one seed for the whole request, so every row — and every lane of a
-	// batch — sees the same edge weather.
-	overlayFor := func(state any) *graph.Overlay {
-		seed := req.Seed ^ gather.ChurnSeedSalt
-		if p := gather.OverlayPoolOf(state); p != nil {
-			return p.Get(g, req.Churn, seed)
-		}
-		return graph.NewOverlay(g, req.Churn, seed)
-	}
 
 	jobs := make([]runner.Job, req.Seeds)
 	for i := range jobs {
 		scSeed := req.Seed + uint64(i)
-		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return nil, 0, err
-				}
-				w, cap, err := BuildWorld(sc, req.Algo, req.Radius, gather.ArenaOf(state))
-				if err != nil {
-					return nil, 0, err
-				}
-				if req.MaxRounds > 0 {
-					cap = req.MaxRounds
-				}
-				// The fault plan is per-run (row seed), drawn over the
-				// effective round budget so scheduled crashes fire in-run.
-				plan := req.fs.Plan(req.K, cap, scSeed^gather.FaultSeedSalt)
-				if err := fault.Apply(w, sc.IDs, plan); err != nil {
-					return nil, 0, err
-				}
-				if req.Churn > 0 {
-					if err := w.SetOverlay(overlayFor(state)); err != nil {
-						return nil, 0, err
-					}
-				}
-				return w, cap, nil
+		jobs[i] = Run{
+			Scenario: func() (*gather.Scenario, error) {
+				return RowScenario(g, shared.Cfg, req.Placement, req.K, req.Sched, scSeed)
 			},
-			Lane: func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(req.Algo, req.Radius)
-				if err != nil {
-					return err
-				}
-				if req.MaxRounds > 0 {
-					cap = req.MaxRounds
-				}
-				if req.Churn > 0 {
-					// Bind before AddLane so the engine cross-checks the
-					// overlay's graph against the first lane's.
-					if err := e.SetOverlay(overlayFor(state)); err != nil {
-						return err
-					}
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), req.Algo, req.Radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				plan := req.fs.Plan(req.K, cap, scSeed^gather.FaultSeedSalt)
-				return fault.ApplyLane(e, lane, sc.IDs, plan)
-			}}
+			Algo: req.Algo, Radius: req.Radius, MaxRounds: req.MaxRounds,
+			// The fault plan is per-run (row seed); churn is per-instance —
+			// one overlay for the whole request, so every row and every
+			// lane of a batch sees the same edge weather.
+			Faults: req.fs, FaultSeed: scSeed ^ gather.FaultSeedSalt,
+			Churn: req.Churn, ChurnSeed: req.Seed ^ gather.ChurnSeedSalt,
+		}.Job(scSeed)
 	}
 
 	r := runner.New(cfg.Parallel).WithWorkerState(func(int) any { return gather.NewSweepState() })
-	var (
-		results []runner.JobResult
-		st      runner.Stats
-	)
+	sw := &Sweep{Graph: g, Workers: r.Workers()}
 	if cfg.Batch > 0 {
-		results, st = r.RunBatchedCtx(ctx, req.Seed, jobs, cfg.Batch)
+		sw.Results, sw.Stats = r.RunBatchedCtx(ctx, req.Seed, jobs, cfg.Batch)
 	} else {
-		results, st = r.RunCtx(ctx, req.Seed, jobs)
+		sw.Results, sw.Stats = r.RunCtx(ctx, req.Seed, jobs)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return renderNDJSON(req, g, results, st)
+	return sw, nil
+}
+
+// ExecuteNDJSON runs the request's sweep (ExecuteSweep) and returns the
+// complete NDJSON response body: one header row, one row per seed in seed
+// order, one aggregate row. The body is materialized before it is
+// returned: a response either exists in full or not at all, so cached
+// replays are byte-identical and a client never sees a truncated stream.
+// Errors other than contained per-seed crashes — which render as crash
+// rows — fail the whole request, exactly like the CLI.
+func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]byte, error) {
+	sw, err := ExecuteSweep(ctx, req, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return renderNDJSON(req, sw.Graph, sw.Results, sw.Stats)
 }
 
 // renderNDJSON assembles the response body from a finished batch.

@@ -82,31 +82,18 @@ func PlaceRobots(g *graph.Graph, placement string, k int, rng *graph.RNG) ([]int
 	}
 }
 
-// BuildWorld loads the scenario into a world for the requested algorithm
-// and returns it with the algorithm-derived round cap (gather.AlgoCap —
-// shared with the lockstep batch path, so both always run identical round
-// budgets). A non-nil arena pools the world and agents across calls
-// (sweep workers hand each job their pooled arena); nil builds fresh.
-func BuildWorld(sc *gather.Scenario, algo string, radius int, arena *gather.Arena) (*sim.World, int, error) {
-	cap, err := sc.AlgoCap(algo, radius)
+// RowScenario derives one sweep row's scenario from its seed: placement,
+// then IDs, from the seed's stream, and a fresh scheduler (BuildSched) —
+// on the shared frozen graph g with its certified config cfg.
+func RowScenario(g *graph.Graph, cfg gather.Config, placement string, k int, sched string, seed uint64) (*gather.Scenario, error) {
+	rng := graph.NewRNG(seed)
+	pos, err := PlaceRobots(g, placement, k, rng)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var w *sim.World
-	switch algo {
-	case "faster":
-		w, err = sc.NewFasterWorldIn(arena)
-	case "uxs":
-		w, err = sc.NewUXSWorldIn(arena)
-	case "undispersed":
-		w, err = sc.NewUndispersedWorldIn(arena)
-	case "hopmeet":
-		w, err = sc.NewHopMeetWorldIn(arena, radius)
-	case "dessmark":
-		w, err = sc.NewDessmarkWorldIn(arena)
-	case "beep":
-		// The beeping-model algorithm is defined for at most two robots.
-		w, err = sc.NewBeepWorldIn(arena)
+	sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos, Cfg: cfg}
+	if sc.Sched, err = BuildSched(sched, seed); err != nil {
+		return nil, err
 	}
-	return w, cap, err
+	return sc, nil
 }
